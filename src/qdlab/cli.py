@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,10 +25,10 @@ from scipy import stats
 from . import __version__
 from .combdisc import disc_exact, disc_heuristic
 from .concentration import comparison_check, lower_bound_constants
-from .dpp import exact_distribution, size_pmf, validate_kernel
-from .errors import GroundSetTooLarge, QdlabError
-from .matcore import as_projection, matrix_from_json, matrix_to_json
-from .qdisc import delta_threshold, objective, qdisc_estimate
+from .dpp import exact_distribution, sample_many, size_pmf, validate_kernel
+from .errors import GroundSetTooLarge, QdlabError, ValidationError
+from .matcore import matrix_from_json, matrix_to_json
+from .qdisc import QdiscEstimate, _objective_values, delta_threshold, objective, qdisc_estimate
 from .randmat import (
     concentration_probe,
     moment_gates,
@@ -38,7 +37,14 @@ from .randmat import (
     random_projection_system,
     random_quantum_coloring,
 )
-from .setsys import ProjectionSystem, SetSystem, arithmetic_progressions, random_set_system, to_projection_system
+from .setsys import (
+    ProjectionSystem,
+    SetSystem,
+    arithmetic_progressions,
+    evaluate_coloring,
+    random_set_system,
+    to_projection_system,
+)
 
 FORMAT_VERSION = 1
 
@@ -105,16 +111,6 @@ def render_report(report: ExperimentReport, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _map_indexed(fn, count: int, threads: int) -> list:
-    """Apply fn to 0..count-1, serially or on a thread pool; output order and
-    values are independent of the thread count (work items carry their own
-    seed streams)."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
     """Clopper-Pearson interval."""
     a = (1.0 - level) / 2.0
@@ -126,35 +122,84 @@ def _binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[floa
 # --------------------------------------------------------------------------
 # config handling
 
-_COMMON_DEFAULTS = {"seed": None, "out": None, "format": "csv", "threads": 1}
+@dataclass(frozen=True)
+class Option:
+    """One config key and its command-line flag `--key-name`. The argparse
+    type comes from the default (a list default takes one or more values,
+    False makes a switch) unless `type` is given; `str` when neither is."""
 
-_SCHEMAS: dict[str, dict] = {
+    default: object = None
+    help: str | None = None
+    type: type | None = None
+    choices: tuple | None = None
+    positional: bool = False
+
+
+_COMMON = {
+    "seed": Option(None, "master seed (mandatory for stochastic subcommands)", int),
+    "out": Option(None, "report output path (default: stdout)"),
+    "format": Option("csv", "report format (default csv)", choices=("csv", "json")),
+    "threads": Option(1, "accepted for compatibility; every run is serial"),
+}
+
+_SCHEMAS: dict[str, dict[str, Option]] = {
     "disc": {
-        "input": None, "ap": None, "random_n": None, "random_m": None,
-        "heuristic": False, "trials": 64, "cap": 24,
+        "input": Option(None, "set-system JSON file {'n':..,'sets':[[..]]}"),
+        "ap": Option(None, "use the arithmetic-progression system on [N]", int),
+        "random_n": Option(None, "random system ground size", int),
+        "random_m": Option(None, "random system set count", int),
+        "heuristic": Option(False, "restart search instead of exhaustive"),
+        "trials": Option(64, "heuristic restarts"),
+        "cap": Option(24, "exhaustive enumeration cap (default 24)"),
     },
     "qdisc": {
-        "input": None, "random_n": None, "random_m": None,
-        "restarts": 4, "sweeps": 2, "plane_cap": None, "refine_top": None,
+        "input": Option(None, "set-system or projection-system JSON file"),
+        "random_n": Option(None, type=int),
+        "random_m": Option(None, type=int),
+        "restarts": Option(4),
+        "sweeps": Option(2),
+        "plane_cap": Option(None, type=int),
+        "refine_top": Option(None, type=int),
     },
     "ubound": {
-        "n": 32, "m_grid": [4, 64, 1024], "trials": 1000,
-        "c": None, "probe_trials": 20000,
+        "n": Option(32),
+        "m_grid": Option([4, 64, 1024]),
+        "trials": Option(1000),
+        "c": Option(None, "concentration constant; omit to fit via the probe", float),
+        "probe_trials": Option(20000),
     },
     "lbound": {
-        "n_grid": [8, 16, 32], "m_cap": 2048, "restarts": 1, "sweeps": 1,
-        "plane_cap": 48, "refine_top": 4, "alpha": 1.0,
+        "n_grid": Option([8, 16, 32]),
+        "m_cap": Option(2048),
+        "restarts": Option(1),
+        "sweeps": Option(1),
+        "plane_cap": Option(48),
+        "refine_top": Option(4),
+        "alpha": Option(1.0),
     },
     "dpp": {
-        "action": None, "kernel": None, "kind": "random", "n": 6,
-        "trials": 20000, "tv_gate": 0.02, "z_gate": 4.0,
+        "action": Option(None, choices=("sample", "check"), positional=True),
+        "kernel": Option(None, "kernel JSON file ([re,im] pair matrix)"),
+        "kind": Option("random", "built-in kernel", choices=("uniform", "random", "projection")),
+        "n": Option(6, "dimension for built-in kernels"),
+        "trials": Option(20000),
+        "tv_gate": Option(0.02),
+        "z_gate": Option(4.0),
     },
     "compare": {
-        "ap_min": 6, "ap_max": 12, "random_count": 4, "random_n": 10,
-        "random_m": 12, "restarts": 2, "sweeps": 1, "cap": 24,
+        "ap_min": Option(6),
+        "ap_max": Option(12),
+        "random_count": Option(4),
+        "random_n": Option(10),
+        "random_m": Option(12),
+        "restarts": Option(2),
+        "sweeps": Option(1),
+        "cap": Option(24),
     },
     "haar": {
-        "n_grid": [2, 3, 4, 5, 6, 7, 8], "trials": 100000, "z_gate": 4.0,
+        "n_grid": Option([2, 3, 4, 5, 6, 7, 8]),
+        "trials": Option(100000),
+        "z_gate": Option(4.0),
     },
 }
 
@@ -163,8 +208,7 @@ _ALWAYS_STOCHASTIC = {"qdisc", "ubound", "lbound", "dpp", "compare", "haar"}
 
 
 def build_config(subcommand: str, args: argparse.Namespace) -> dict:
-    cfg = dict(_SCHEMAS[subcommand])
-    cfg.update(_COMMON_DEFAULTS)
+    cfg = {key: opt.default for key, opt in {**_SCHEMAS[subcommand], **_COMMON}.items()}
     if getattr(args, "config", None):
         try:
             data = json.loads(Path(args.config).read_text())
@@ -201,10 +245,16 @@ def _signs_str(signs) -> str:
 # --------------------------------------------------------------------------
 # subcommands
 
+def _read_input_object(path: str) -> dict:
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValidationError(f"input JSON must be an object, got {type(data).__name__}")
+    return data
+
+
 def _load_set_system(cfg: dict, root: np.random.SeedSequence) -> SetSystem:
     if cfg.get("input"):
-        data = json.loads(Path(cfg["input"]).read_text())
-        return SetSystem.from_json(data)
+        return SetSystem.from_json(_read_input_object(cfg["input"]))
     if cfg.get("ap"):
         return arithmetic_progressions(int(cfg["ap"]))
     if cfg.get("random_n") is not None:
@@ -227,10 +277,9 @@ def cmd_disc(cfg: dict) -> ExperimentReport:
     else:
         value, witness = disc_exact(system, cap=int(cfg["cap"]))
         method = "exact"
-    sums = (np.array([[1 if i in s else 0 for i in range(1, system.ground_size + 1)]
-                      for s in system.sets]) @ witness.signs)
+    sums = evaluate_coloring(system, witness)
     rows = [
-        {"set_index": i, "size": len(s), "signed_sum": int(sums[i])}
+        {"set_index": i, "size": len(s), "signed_sum": sums[i]}
         for i, s in enumerate(system.sets)
     ]
     summary = {
@@ -246,12 +295,11 @@ def cmd_disc(cfg: dict) -> ExperimentReport:
 
 def _load_projection_system(cfg: dict, root: np.random.SeedSequence) -> ProjectionSystem:
     if cfg.get("input"):
-        data = json.loads(Path(cfg["input"]).read_text())
+        data = _read_input_object(cfg["input"])
         if "sets" in data:
             return to_projection_system(SetSystem.from_json(data))
         if "projections" in data:
-            projs = tuple(as_projection(matrix_from_json(p)) for p in data["projections"])
-            return ProjectionSystem(int(data["n"]), projs)
+            return ProjectionSystem.from_json(data)
         raise QdlabError("input JSON must contain 'sets' or 'projections'")
     if cfg.get("random_n") is not None:
         if cfg.get("random_m") is None:
@@ -260,17 +308,21 @@ def _load_projection_system(cfg: dict, root: np.random.SeedSequence) -> Projecti
     raise UsageError("no input: give --input FILE or --random-n/--random-m")
 
 
-def cmd_qdisc(cfg: dict) -> ExperimentReport:
-    root = _seed_root(cfg)
-    system = _load_projection_system(cfg, root)
-    est = qdisc_estimate(
+def _qdisc_search(system: ProjectionSystem, cfg: dict, seed: np.random.SeedSequence) -> QdiscEstimate:
+    return qdisc_estimate(
         system,
         restarts=int(cfg["restarts"]),
         sweeps=int(cfg["sweeps"]),
-        seed=root.spawn(2)[1],
+        seed=seed,
         plane_cap=cfg["plane_cap"],
         refine_top=cfg["refine_top"],
     )
+
+
+def cmd_qdisc(cfg: dict) -> ExperimentReport:
+    root = _seed_root(cfg)
+    system = _load_projection_system(cfg, root)
+    est = _qdisc_search(system, cfg, root.spawn(2)[1])
     rows = []
     for i, proj in enumerate(system.projections):
         val = objective(est.witness, proj)
@@ -309,19 +361,10 @@ def cmd_ubound(cfg: dict) -> ExperimentReport:
         stacked = system.stacked()
         ranks = system.ranks().astype(float)
         deltas = np.array([delta_threshold(n, int(r), m, c_used) for r in system.ranks()])
-        children = m_children[2 * pos + 1].spawn(trials)
-
-        def one_trial(t: int) -> bool:
-            rng = np.random.Generator(np.random.PCG64(children[t]))
-            chi = random_quantum_coloring(n, rng).array
-            a = stacked @ chi
-            t1 = np.einsum("mii->m", a).real
-            t2 = np.einsum("mij,mji->m", a, a).real
-            vals = np.sqrt(np.clip(t1 * t1 + ranks - t2, 0.0, None))
-            return bool((vals <= deltas).all())
-
-        oks = _map_indexed(one_trial, trials, int(cfg["threads"]))
-        successes = int(sum(oks))
+        successes = 0
+        for child in m_children[2 * pos + 1].spawn(trials):
+            chi = random_quantum_coloring(n, child).array
+            successes += bool((_objective_values(chi, stacked, ranks) <= deltas).all())
         lo, hi = _binomial_ci(successes, trials)
         rows.append({
             "n": n, "m": m, "c": c_used, "trials": trials,
@@ -354,14 +397,7 @@ def cmd_lbound(cfg: dict) -> ExperimentReport:
     rows = []
     for pos, (n, m, m_requested) in enumerate(instances):
         system = random_projection_system(n, m, children[2 * pos])
-        est = qdisc_estimate(
-            system,
-            restarts=int(cfg["restarts"]),
-            sweeps=int(cfg["sweeps"]),
-            seed=children[2 * pos + 1],
-            plane_cap=cfg["plane_cap"],
-            refine_top=cfg["refine_top"],
-        )
+        est = _qdisc_search(system, cfg, children[2 * pos + 1])
         scale = math.sqrt(n + math.log(m))
         regime_ok = n <= m <= 2 ** n
         if not regime_ok:
@@ -393,9 +429,9 @@ def _resolve_kernel(cfg: dict, child: np.random.SeedSequence):
     if kind == "uniform":
         return validate_kernel(0.5 * np.eye(n))
     if kind == "random":
-        return random_kernel(n, np.random.Generator(np.random.PCG64(child)))
+        return random_kernel(n, child)
     if kind == "projection":
-        return validate_kernel(random_projection(n, np.random.Generator(np.random.PCG64(child))).array)
+        return validate_kernel(random_projection(n, child).array)
     raise UsageError(f"unknown kernel kind {kind!r}")
 
 
@@ -409,13 +445,7 @@ def cmd_dpp(cfg: dict) -> ExperimentReport:
     trials = int(cfg["trials"])
     if trials < 1:
         raise UsageError("need trials >= 1")
-    children = draw_child.spawn(trials)
-
-    def one_draw(t: int):
-        from .dpp import _sample_with
-        return _sample_with(kernel, np.random.Generator(np.random.PCG64(children[t])))
-
-    draws = _map_indexed(one_draw, trials, int(cfg["threads"]))
+    draws = sample_many(kernel, trials, draw_child, spawn=True)
     if action == "sample":
         rows = [
             {"trial": t, "size": len(s.points), "points": " ".join(map(str, s.points))}
@@ -483,25 +513,22 @@ def cmd_compare(cfg: dict) -> ExperimentReport:
             (f"random-{i}", random_set_system(int(cfg["random_n"]), int(cfg["random_m"]), rand_children[2 * i]))
         )
     est_children = root.spawn(len(systems) + 100)[100:]
-
-    def one_system(pos: int) -> dict:
-        name, system = systems[pos]
+    rows = []
+    for (name, system), child in zip(systems, est_children):
         rep = comparison_check(
             system,
             restarts=int(cfg["restarts"]),
             sweeps=int(cfg["sweeps"]),
-            seed=est_children[pos],
+            seed=child,
             cap=int(cfg["cap"]),
         )
-        return {
+        rows.append({
             "system_id": name, "n": rep.ground_size, "m": rep.num_sets,
             "disc": rep.disc, "qdisc_est": rep.qdisc_est,
             "min_feasible_c_log": rep.min_feasible_c_log,
             "min_feasible_c_sqrt_log": rep.min_feasible_c_sqrt_log,
             "sandwich_ok": rep.sandwich_ok,
-        }
-
-    rows = _map_indexed(one_system, len(systems), int(cfg["threads"]))
+        })
     summary = {
         "instances": len(rows),
         "all_sandwich_ok": all(r["sandwich_ok"] for r in rows),
@@ -517,13 +544,8 @@ def cmd_haar(cfg: dict) -> ExperimentReport:
         raise UsageError("need trials >= 2")
     root = _seed_root(cfg)
     n_grid = [int(n) for n in cfg["n_grid"]]
-    children = root.spawn(len(n_grid))
-
-    def one_dim(pos: int):
-        return moment_gates(n_grid[pos], trials, children[pos])
-
     z_gate = float(cfg["z_gate"])
-    gates = [g for chunk in _map_indexed(one_dim, len(n_grid), int(cfg["threads"])) for g in chunk]
+    gates = [g for n, child in zip(n_grid, root.spawn(len(n_grid))) for g in moment_gates(n, trials, child)]
     rows = [
         {"n": g.n, "gate": g.name, "param": g.param, "exact": g.exact,
          "estimate": g.estimate, "se": g.se, "z": g.z, "passed": g.passes(z_gate)}
@@ -539,99 +561,50 @@ def cmd_haar(cfg: dict) -> ExperimentReport:
 
 
 _COMMANDS = {
-    "disc": cmd_disc,
-    "qdisc": cmd_qdisc,
-    "ubound": cmd_ubound,
-    "lbound": cmd_lbound,
-    "dpp": cmd_dpp,
-    "compare": cmd_compare,
-    "haar": cmd_haar,
+    "disc": (cmd_disc, "combinatorial discrepancy of a set system"),
+    "qdisc": (cmd_qdisc, "quantum discrepancy estimate of a projection system"),
+    "ubound": (cmd_ubound, "Delta_P satisfaction experiment for random colorings"),
+    "lbound": (cmd_lbound, "qdisc scaling on random projection systems"),
+    "dpp": (cmd_dpp, "sample a determinantal process or check it against exact laws"),
+    "compare": (cmd_compare, "disc vs qdisc sandwich table over a corpus"),
+    "haar": (cmd_haar, "Monte Carlo vs exact Haar moment gates"),
 }
 
 
 # --------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file mirroring the subcommand fields")
-    parser.add_argument("--seed", type=int, help="master seed (mandatory for stochastic subcommands)")
-    parser.add_argument("--out", help="report output path (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], help="report format (default csv)")
-    parser.add_argument("--threads", type=int, help="worker threads; 1 = serial (default)")
+def _add_option(parser: argparse.ArgumentParser, key: str, opt: Option) -> None:
+    kwargs = {"help": opt.help} if opt.choices is None else {"help": opt.help, "choices": opt.choices}
+    if opt.positional:
+        parser.add_argument(key, **kwargs)
+        return
+    if opt.default is False:
+        kwargs.update(action="store_true", default=None)
+    else:
+        sample = opt.default[0] if isinstance(opt.default, list) else opt.default
+        kwargs["type"] = opt.type or (None if sample is None else type(sample))
+        if isinstance(opt.default, list):
+            kwargs["nargs"] = "+"
+    parser.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand, with a flag for every config key of
+    _SCHEMAS and _COMMON. Flags default to None so that an omitted flag
+    never overrides a config-file value."""
     parser = argparse.ArgumentParser(
         prog="qdlab",
         description="Combinatorial/quantum discrepancy and DPP experiments with seeded, reproducible reports.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("disc", help="combinatorial discrepancy of a set system")
-    p.add_argument("--input", help="set-system JSON file {'n':..,'sets':[[..]]}")
-    p.add_argument("--ap", type=int, help="use the arithmetic-progression system on [N]")
-    p.add_argument("--random-n", dest="random_n", type=int, help="random system ground size")
-    p.add_argument("--random-m", dest="random_m", type=int, help="random system set count")
-    p.add_argument("--heuristic", action="store_true", default=None, help="restart search instead of exhaustive")
-    p.add_argument("--trials", type=int, help="heuristic restarts")
-    p.add_argument("--cap", type=int, help="exhaustive enumeration cap (default 24)")
-    _add_common(p)
-
-    p = sub.add_parser("qdisc", help="quantum discrepancy estimate of a projection system")
-    p.add_argument("--input", help="set-system or projection-system JSON file")
-    p.add_argument("--random-n", dest="random_n", type=int)
-    p.add_argument("--random-m", dest="random_m", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--plane-cap", dest="plane_cap", type=int)
-    p.add_argument("--refine-top", dest="refine_top", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("ubound", help="Delta_P satisfaction experiment for random colorings")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m-grid", dest="m_grid", type=int, nargs="+")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--c", type=float, help="concentration constant; omit to fit via the probe")
-    p.add_argument("--probe-trials", dest="probe_trials", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("lbound", help="qdisc scaling on random projection systems")
-    p.add_argument("--n-grid", dest="n_grid", type=int, nargs="+")
-    p.add_argument("--m-cap", dest="m_cap", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--plane-cap", dest="plane_cap", type=int)
-    p.add_argument("--refine-top", dest="refine_top", type=int)
-    p.add_argument("--alpha", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("dpp", help="sample a determinantal process or check it against exact laws")
-    p.add_argument("action", choices=["sample", "check"])
-    p.add_argument("--kernel", help="kernel JSON file ([re,im] pair matrix)")
-    p.add_argument("--kind", choices=["uniform", "random", "projection"], help="built-in kernel")
-    p.add_argument("--n", type=int, help="dimension for built-in kernels")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--tv-gate", dest="tv_gate", type=float)
-    p.add_argument("--z-gate", dest="z_gate", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="disc vs qdisc sandwich table over a corpus")
-    p.add_argument("--ap-min", dest="ap_min", type=int)
-    p.add_argument("--ap-max", dest="ap_max", type=int)
-    p.add_argument("--random-count", dest="random_count", type=int)
-    p.add_argument("--random-n", dest="random_n", type=int)
-    p.add_argument("--random-m", dest="random_m", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--cap", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("haar", help="Monte Carlo vs exact Haar moment gates")
-    p.add_argument("--n-grid", dest="n_grid", type=int, nargs="+")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--z-gate", dest="z_gate", type=float)
-    _add_common(p)
-
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key, opt in _SCHEMAS[name].items():
+            _add_option(p, key, opt)
+        p.add_argument("--config", help="JSON config file mirroring the subcommand fields")
+        for key, opt in _COMMON.items():
+            _add_option(p, key, opt)
     return parser
 
 
@@ -648,7 +621,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     start = time.perf_counter()
     try:
-        report = _COMMANDS[args.subcommand](cfg)
+        report = _COMMANDS[args.subcommand][0](cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,7 +21,7 @@ from .errors import (
     SpectrumOutOfRange,
     ValidationError,
 )
-from .matcore import HermitianMatrix, as_complex_array, make_hermitian
+from .matcore import HermitianMatrix, as_complex_array, make_hermitian, seed_sequence, trace_pair
 
 SPECTRUM_TOL = 1e-10
 # Eigenvalues this close to 0 or 1 are snapped exactly, so projection kernels
@@ -114,8 +114,7 @@ def joint_intensity(kernel: DPPKernel, subset) -> float:
 
 def sample(kernel: DPPKernel, seed) -> ProcessSample:
     """Draw one exact sample via the two-phase spectral algorithm."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return _sample_with(kernel, rng)
+    return _sample_with(kernel, np.random.default_rng(seed))
 
 
 def _sample_with(kernel: DPPKernel, rng: np.random.Generator) -> ProcessSample:
@@ -162,9 +161,8 @@ def sample_many(kernel: DPPKernel, trials: int, seed, spawn: bool = False) -> li
     if trials < 1:
         raise ValidationError("need trials >= 1")
     if spawn:
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = root.spawn(trials)
-        return [_sample_with(kernel, np.random.Generator(np.random.PCG64(c))) for c in children]
+        children = seed_sequence(seed).spawn(trials)
+        return [_sample_with(kernel, np.random.default_rng(c)) for c in children]
     rng = np.random.default_rng(seed)
     return [_sample_with(kernel, rng) for _ in range(trials)]
 
@@ -224,10 +222,8 @@ def _embedded_terms(kernel: DPPKernel, subset) -> tuple[float, float, int]:
     if not pts:
         return 0.0, 0.0, 0
     idx = np.array(pts) - 1
-    sub = kernel.array[np.ix_(idx, idx)]
-    t1 = float(np.trace(sub).real)
-    t2 = float(np.sum(sub * sub.T).real)
-    return t1, t2, len(pts)
+    t1, t2 = trace_pair(kernel.array[np.ix_(idx, idx)])
+    return float(t1), float(t2), len(pts)
 
 
 def expected_squared_imbalance(kernel: DPPKernel, subset) -> float:

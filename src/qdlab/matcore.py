@@ -209,6 +209,18 @@ def schatten_norm(a, p) -> float:
     raise UnsupportedP(f"Schatten norm implemented only for p in {{1, 2, inf}}, got {p!r}")
 
 
+def trace_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real parts of (tr A, tr A^2) over the last two axes, so a stack of
+    shape (..., N, N) gives two arrays of shape (...); an (M, 0, 0) stack
+    gives zeros."""
+    return np.einsum("...ii->...", a).real, np.einsum("...ij,...ji->...", a, a).real
+
+
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """A SeedSequence unchanged, anything else as the entropy of a new one."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
 def commutator(a, b) -> np.ndarray:
     """The commutator AB - BA."""
     aa, bb = as_complex_array(a), as_complex_array(b)
@@ -242,7 +254,10 @@ def matrix_to_json(matrix) -> list:
 
 def matrix_from_json(data) -> np.ndarray:
     """Parse the nested [re, im] pair format back into a complex ndarray."""
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"expected an N x N array of [re, im] pairs: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("expected an N x N array of [re, im] pairs")
+        raise ValidationError("expected an N x N array of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -36,7 +36,9 @@ from .matcore import (
     as_projection,
     make_hermitian,
     schatten_norm,
+    seed_sequence,
     spectral_decompose,
+    trace_pair,
 )
 from .setsys import ProjectionSystem, SetSystem
 
@@ -70,9 +72,7 @@ def _pair_arrays(coloring: QuantumColoring, projection: OrthogonalProjection):
 def objective(coloring: QuantumColoring, projection: OrthogonalProjection) -> ObjectiveValue:
     """Evaluate the objective, cross-checking the chi [chi, P] P form."""
     chi, p = _pair_arrays(coloring, projection)
-    a = chi @ p
-    t1 = float(np.trace(a).real)
-    t2 = float(np.sum(a * a.T).real)
+    t1, t2 = map(float, trace_pair(chi @ p))
     commutator_term = projection.rank - t2
     comm_form = float(np.trace(chi @ (chi @ p - p @ chi) @ p).real)
     if abs(comm_form - commutator_term) > _CONSISTENCY_TOL * max(1.0, abs(commutator_term)):
@@ -138,9 +138,7 @@ def trivial_bound_check(coloring: QuantumColoring, projection: OrthogonalProject
     """Verify, in the eigenbasis of chi, the pairwise identity used to prove
     objective^2 <= N^2, and report both sides."""
     chi, p = _pair_arrays(coloring, projection)
-    a = chi @ p
-    t1 = float(np.trace(a).real)
-    t2 = float(np.sum(a * a.T).real)
+    t1, t2 = map(float, trace_pair(chi @ p))
     dec = spectral_decompose(coloring.matrix)
     x = np.sign(dec.eigenvalues)
     pp = dec.eigenvectors.conj().T @ p @ dec.eigenvectors
@@ -200,9 +198,7 @@ def check_delta_event(system: ProjectionSystem, coloring: QuantumColoring, c: fl
 
 
 def _objective_values(chi: np.ndarray, stacked: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    a = stacked @ chi
-    t1 = np.einsum("mii->m", a).real
-    t2 = np.einsum("mij,mji->m", a, a).real
+    t1, t2 = trace_pair(stacked @ chi)
     return np.sqrt(np.clip(t1 * t1 + ranks - t2, 0.0, None))
 
 
@@ -224,12 +220,8 @@ def lipschitz_check(
     if chi1.dim != n or chi2.dim != n:
         raise DimMismatch("coloring dimensions do not match the projection")
     dist = schatten_norm(chi1.array - chi2.array, 2)
-    p = projection.array
-    a1, a2 = chi1.array @ p, chi2.array @ p
-    tr1, tr2 = np.trace(a1).real, np.trace(a2).real
+    (tr1, tr2), (sq1, sq2) = trace_pair(np.stack([chi1.array, chi2.array]) @ projection.array)
     lhs_trace = abs(abs(tr1) - abs(tr2))
-    sq1 = float(np.sum(a1 * a1.T).real)
-    sq2 = float(np.sum(a2 * a2.T).real)
     lhs_comm = abs(sq2 - sq1)  # the tr(P) parts cancel
     rec = LipschitzRecord(
         trace_slack=math.sqrt(n / 2.0) * dist - lhs_trace,
@@ -261,16 +253,9 @@ class _CandidateState:
         self.stacked = stacked
         self.ranks = ranks
         self.n = u.shape[0]
-        if k:
-            uplus = self.u[:, :k]
-            self.b = np.einsum("al,mab,bk->mlk", uplus.conj(), stacked, uplus, optimize=True)
-        else:
-            self.b = np.zeros((stacked.shape[0], 0, 0), dtype=np.complex128)
-        self._refresh()
-
-    def _refresh(self):
-        self.t1 = np.einsum("mii->m", self.b).real if self.k else np.zeros(self.stacked.shape[0])
-        self.t2 = np.einsum("mlk,mkl->m", self.b, self.b).real if self.k else np.zeros_like(self.t1)
+        uplus = self.u[:, :k]
+        self.b = np.einsum("al,mab,bk->mlk", uplus.conj(), stacked, uplus, optimize=True)
+        self.t1, self.t2 = trace_pair(self.b)
 
     def objective_max(self) -> float:
         vals = self._values(self.t1, self.t2)
@@ -306,8 +291,7 @@ class _CandidateState:
             t1 = self.t1 + bii - alpha
             s_off = c * c * off_a + s * s * off_b + 2.0 * c * s * off_ab
             t2 = self.t2 - (2.0 * off_a + alpha**2) + 2.0 * s_off + bii * bii
-            vals = np.sqrt(np.clip((2.0 * t1 - self.ranks) ** 2 + 4.0 * (t1 - t2), 0.0, None))
-            return vals.max(axis=1)
+            return self._values(t1, t2).max(axis=1)
 
         def apply(theta: float):
             c, s = math.cos(theta), math.sin(theta)
@@ -320,7 +304,7 @@ class _CandidateState:
             self.b[:, :, i] = col
             self.b[:, i, :] = col.conj()
             self.b[:, i, i] = col[:, i].real
-            self._refresh()
+            self.t1, self.t2 = trace_pair(self.b)
 
         return f, apply
 
@@ -441,14 +425,13 @@ def qdisc_estimate(
     n = system.dim
     stacked = system.stacked()
     ranks = system.ranks().astype(float)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    k_children = root.spawn(n + 2)
+    k_children = seed_sequence(seed).spawn(n + 2)
 
     candidates: list[tuple[float, _CandidateState, np.random.Generator]] = []
     for k in range(n + 1):
         restart_children = k_children[k].spawn(restarts)
         for ridx in range(restarts):
-            rng = np.random.Generator(np.random.PCG64(restart_children[ridx]))
+            rng = np.random.default_rng(restart_children[ridx])
             if ridx == 0:
                 u = np.eye(n, dtype=np.complex128)
             else:
@@ -460,7 +443,7 @@ def qdisc_estimate(
     if witness_signs is not None:
         u, k = _permutation_unitary_for_signs(witness_signs)
         state = _CandidateState(u, k, stacked, ranks)
-        rng = np.random.Generator(np.random.PCG64(k_children[n + 1].spawn(1)[0]))
+        rng = np.random.default_rng(k_children[n + 1].spawn(1)[0])
         candidates.append((state.objective_max(), state, rng))
 
     order = sorted(range(len(candidates)), key=lambda t: (candidates[t][0], t))

@@ -17,16 +17,8 @@ import numpy as np
 
 from .dpp import DPPKernel, validate_kernel
 from .errors import DegenerateDim, ValidationError
-from .matcore import OrthogonalProjection, QuantumColoring, make_hermitian
+from .matcore import OrthogonalProjection, QuantumColoring, make_hermitian, seed_sequence, trace_pair
 from .setsys import ProjectionSystem
-
-
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
-def _seed_seq(seed) -> np.random.SeedSequence:
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -43,7 +35,7 @@ def haar_unitary(n: int, seed) -> np.ndarray:
     """One Haar-distributed element of U(N)."""
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    return _haar(_rng(seed), n)
+    return _haar(np.random.default_rng(seed), n)
 
 
 def coloring_spectrum(n: int) -> np.ndarray:
@@ -77,16 +69,13 @@ def random_projection_system(n: int, m: int, seed) -> ProjectionSystem:
     function of (seed, i) through spawned child streams."""
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
-    children = _seed_seq(seed).spawn(m)
-    projs = tuple(
-        random_projection(n, np.random.Generator(np.random.PCG64(c))) for c in children
-    )
-    return ProjectionSystem(n, projs)
+    children = seed_sequence(seed).spawn(m)
+    return ProjectionSystem(n, tuple(random_projection(n, c) for c in children))
 
 
 def random_kernel(n: int, seed) -> DPPKernel:
     """A random Hermitian DPP kernel U diag(u_1..u_N) U* with uniform spectrum."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     u = _haar(rng, n)
     lam = rng.random(n)
     return validate_kernel((u * lam) @ u.conj().T)
@@ -255,7 +244,7 @@ def moment_gates(n: int, trials: int, seed, all_ranks: bool = False) -> list[Mom
         raise DegenerateDim(f"need n >= 2, got {n}")
     if trials < 2:
         raise ValidationError("need trials >= 2")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     d = coloring_spectrum(n)
     r0 = n // 2
     ranks = list(range(n + 1)) if all_ranks else [r0]
@@ -320,7 +309,7 @@ def concentration_probe(n: int, trials: int, deviations=None, seed=0) -> Concent
         raise ValidationError("need trials >= 1000 for usable tails")
     if n < 2:
         raise DegenerateDim(f"need n >= 2, got {n}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     r0 = n // 2
     proj = random_projection(n, rng)
     p = proj.array
@@ -330,9 +319,8 @@ def concentration_probe(n: int, trials: int, deviations=None, seed=0) -> Concent
     for t in range(trials):
         u = _haar(rng, n)
         chi = (u * d) @ u.conj().T
-        a = chi @ p
-        f1[t] = np.trace(a).real
-        f2[t] = r0 - np.sum(a * a.T).real
+        f1[t], sq = trace_pair(chi @ p)
+        f2[t] = r0 - sq
     m1 = exact_mean_trace(n, r0)
     m2 = exact_mean_commutator_term(n, r0)
     if deviations is None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, IndexOutOfRange, ValidationError
-from .matcore import OrthogonalProjection, as_projection
+from .matcore import OrthogonalProjection, as_projection, matrix_from_json
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,12 @@ class SetSystem:
 
     @staticmethod
     def from_json(data: dict) -> "SetSystem":
-        return SetSystem(int(data["n"]), tuple(tuple(sorted(int(i) for i in s)) for s in data["sets"]))
+        try:
+            n = int(data["n"])
+            sets = tuple(tuple(int(i) for i in s) for s in data["sets"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed set-system JSON: {exc}") from exc
+        return SetSystem(n, sets)
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,16 @@ class ProjectionSystem:
 
     def ranks(self) -> np.ndarray:
         return np.array([p.rank for p in self.projections], dtype=int)
+
+    @staticmethod
+    def from_json(data: dict) -> "ProjectionSystem":
+        """Parse {"n": N, "projections": [matrix, ...]}, each matrix in the
+        [re, im] pair format of matrix_from_json."""
+        try:
+            n, raw = int(data["n"]), list(data["projections"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed projection-system JSON: {exc}") from exc
+        return ProjectionSystem(n, tuple(as_projection(matrix_from_json(p)) for p in raw))
 
 
 @dataclass(frozen=True)

@@ -203,3 +203,45 @@ class TestDeterminism:
         _, b = run(tmp_path, "b.json", *argv)
         assert a == b
         json.loads(a)  # parses
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["qdisc", "--seed", "1", "--input"], {"n": 2, "projections": [[1, 0, 0, 1]]}),
+            (["qdisc", "--seed", "1", "--input"], {"n": "x", "projections": []}),
+            (["qdisc", "--seed", "1", "--input"], [1, 2]),
+            (["disc", "--input"], {"n": "x", "sets": [[1]]}),
+            (["disc", "--input"], {"n": 2, "sets": 5}),
+            (["disc", "--input"], {"n": 2, "sets": [5]}),
+            (["dpp", "sample", "--seed", "1", "--kernel"], [[1, 2], [3, 4]]),
+        ],
+    )
+    def test_exit_code_and_message(self, tmp_path, capsys, argv, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run(tmp_path, "r.csv", *argv, str(path))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "validation failure" in err
+        assert "Traceback" not in err
+
+
+class TestThreadsInvariance:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dpp", "sample", "--kind", "random", "--n", "5", "--trials", "60", "--seed", "3"],
+            ["haar", "--n-grid", "2", "3", "--trials", "500", "--seed", "3"],
+            ["compare", "--ap-min", "5", "--ap-max", "6", "--random-count", "1", "--random-n", "5",
+             "--random-m", "4", "--restarts", "1", "--sweeps", "1", "--seed", "3"],
+            ["ubound", "--n", "6", "--m-grid", "4", "8", "--trials", "50", "--c", "1.0", "--seed", "3"],
+        ],
+    )
+    def test_rows_and_summary_do_not_depend_on_threads(self, tmp_path, argv):
+        _, one = run(tmp_path, "t1.csv", *argv, "--threads", "1")
+        _, two = run(tmp_path, "t2.csv", *argv, "--threads", "2")
+        body = [line for line in one.splitlines() if not line.startswith("# config: ")]
+        assert len(body) > 3
+        assert body == [line for line in two.splitlines() if not line.startswith("# config: ")]

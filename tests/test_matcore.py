@@ -22,6 +22,7 @@ from qdlab.errors import (
     UnsupportedP,
     ValidationError,
 )
+from qdlab.matcore import trace_pair
 
 from conftest import random_hermitian
 
@@ -196,3 +197,31 @@ class TestMatrixJson:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             matrix_from_json([[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("data", [[[1.0, 2.0], [3.0, 4.0]], [[[1, 0]], [[1, 0], [0, 0]]], "x", [["a", "b"]]])
+    def test_malformed_is_validation_error(self, data):
+        with pytest.raises(ValidationError):
+            matrix_from_json(data)
+
+
+class TestTracePair:
+    def test_matches_trace_and_square_sum(self, rng):
+        for n in (1, 3, 8, 17):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            t1, t2 = trace_pair(a)
+            assert t1.shape == t2.shape == ()
+            assert abs(t1 - np.trace(a).real) <= 1e-12 * n
+            assert abs(t2 - np.sum(a * a.T).real) <= 1e-12 * n * n
+
+    def test_stacked(self, rng):
+        a = rng.standard_normal((5, 2, 6, 6)) + 1j * rng.standard_normal((5, 2, 6, 6))
+        t1, t2 = trace_pair(a)
+        assert t1.shape == t2.shape == (5, 2)
+        for idx in np.ndindex(5, 2):
+            assert abs(t1[idx] - np.trace(a[idx]).real) <= 1e-12
+            assert abs(t2[idx] - np.sum(a[idx] * a[idx].T).real) <= 1e-12
+
+    def test_empty_stack_gives_zeros(self):
+        t1, t2 = trace_pair(np.zeros((4, 0, 0), dtype=np.complex128))
+        assert np.array_equal(t1, np.zeros(4))
+        assert np.array_equal(t2, np.zeros(4))
