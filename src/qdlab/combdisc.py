@@ -2,9 +2,16 @@
 
 Exact minimization enumerates the 2^(N-1) colorings with chi(1) = +1 (the
 objective is invariant under a global sign flip) in lexicographic order of
-the sign vector, so the reported witness is the lexicographically smallest
-optimal coloring. A restart + single-flip local search covers ground sets
-beyond the exhaustive cap.
+the sign vector, in integer arithmetic. The free signs split into a high
+prefix and a low block of up to 12 signs; the per-set sums of every prefix
+and of every low block are tabulated once, so a block of 2^12 colorings
+costs one add, abs and max per set. A prefix is skipped when its lower
+bound max_S(|prefix sum of S| - |S ∩ low block|) is at least the best value
+found so far. The witness is the lexicographically smallest optimal
+coloring: prefixes are visited in lex order, a block's first minimum is
+taken, only a strictly smaller value replaces the incumbent, and a skipped
+block holds no value below it. A restart + single-flip local search covers
+ground sets beyond the exhaustive cap.
 """
 
 from __future__ import annotations
@@ -19,6 +26,18 @@ from .setsys import Coloring, SetSystem, incidence_matrix
 
 DEFAULT_EXHAUSTIVE_CAP = 24
 _CHUNK = 1 << 15
+_LOW_BITS = 12  # colorings per enumeration block: 2^_LOW_BITS
+
+
+def _sign_sums(cols: np.ndarray, offset) -> np.ndarray:
+    """Per-set sums offset + cols @ signs for every sign vector over the
+    columns of cols, one row per vector in lexicographic order (-1 < +1,
+    first column most significant)."""
+    width = cols.shape[1]
+    ks = np.arange(1 << width, dtype=np.int64)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
+    signs = 2 * ((ks[:, None] >> shifts[None, :]) & 1) - 1
+    return (signs @ cols.T + offset).astype(np.int16)  # |chi(S)| <= N
 
 
 def disc_exact(system: SetSystem, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> tuple[int, Coloring]:
@@ -30,26 +49,27 @@ def disc_exact(system: SetSystem, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> tuple[in
     n = system.ground_size
     if n > cap:
         raise GroundSetTooLarge(f"ground set of size {n} exceeds the exhaustive cap {cap}")
-    a = incidence_matrix(system).astype(np.float64)
-    base = a[:, 0].copy()  # chi(1) fixed to +1
-    rest = a[:, 1:]
-    shifts = np.arange(n - 2, -1, -1, dtype=np.int64)  # element 2 <-> most significant bit
-    total = 1 << (n - 1)
-    best_val = math.inf
-    best_bits: np.ndarray | None = None
-    for start in range(0, total, _CHUNK):
-        ks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        bits = (ks[:, None] >> shifts[None, :]) & 1
-        signs = 2.0 * bits - 1.0
-        sums = signs @ rest.T + base[None, :]
-        values = np.abs(sums).max(axis=1)
-        idx = int(values.argmin())  # first occurrence = lex-smallest in chunk
-        if values[idx] < best_val:
-            best_val = float(values[idx])
-            best_bits = bits[idx]
-    assert best_bits is not None
-    witness = Coloring(np.concatenate(([1], 2 * best_bits - 1)).astype(int))
-    return int(round(best_val)), witness
+    a = incidence_matrix(system)
+    h = max(0, n - 1 - _LOW_BITS)  # high-prefix signs
+    high = a[:, 1 : 1 + h]
+    low = a[:, 1 + h :]
+    high_sums = _sign_sums(high, a[:, 0])  # chi(1) fixed to +1
+    low_sums = _sign_sums(low, 0)
+    # |chi(S)| >= |high part| - |S ∩ low| for every completion of a prefix
+    bounds = (np.abs(high_sums) - low.sum(axis=1)[None, :]).max(axis=1)
+    best_val = n + 1  # above every |chi(S)|
+    best_k = 0
+    for p in range(high_sums.shape[0]):
+        if bounds[p] >= best_val:
+            continue  # no coloring in this block beats the incumbent
+        values = np.abs(low_sums + high_sums[p]).max(axis=1)
+        q = int(values.argmin())  # first occurrence = lex-smallest in block
+        if values[q] < best_val:
+            best_val = int(values[q])
+            best_k = (p << (n - 1 - h)) | q
+    bits = (best_k >> np.arange(n - 2, -1, -1, dtype=np.int64)) & 1
+    witness = Coloring(np.concatenate(([1], 2 * bits - 1)).astype(int))
+    return best_val, witness
 
 
 @dataclass(frozen=True)

@@ -256,8 +256,10 @@ def matrix_from_json(data) -> np.ndarray:
     """Parse the nested [re, im] pair format back into a complex ndarray."""
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"expected an N x N array of [re, im] pairs: {exc}") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValidationError("expected an N x N array of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValidationError("matrix entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]

@@ -13,6 +13,16 @@ import numpy as np
 from .errors import DimMismatch, IndexOutOfRange, ValidationError
 from .matcore import OrthogonalProjection, as_projection, matrix_from_json
 
+# Largest ground set or dimension accepted from JSON. Projection systems are
+# dense N x N arrays, so a larger N cannot be held; qdlab targets a few hundred.
+MAX_GROUND_SIZE = 4096
+
+
+def _checked_json_size(n: int) -> int:
+    if n > MAX_GROUND_SIZE:
+        raise ValidationError(f"n = {n} exceeds the largest supported size {MAX_GROUND_SIZE}")
+    return n
+
 
 @dataclass(frozen=True)
 class SetSystem:
@@ -54,7 +64,7 @@ class SetSystem:
             sets = tuple(tuple(int(i) for i in s) for s in data["sets"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed set-system JSON: {exc}") from exc
-        return SetSystem(n, sets)
+        return SetSystem(_checked_json_size(n), sets)
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,7 @@ class ProjectionSystem:
             n, raw = int(data["n"]), list(data["projections"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed projection-system JSON: {exc}") from exc
-        return ProjectionSystem(n, tuple(as_projection(matrix_from_json(p)) for p in raw))
+        return ProjectionSystem(_checked_json_size(n), tuple(as_projection(matrix_from_json(p)) for p in raw))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdlab import arithmetic_progressions, disc_exact, matrix_to_json
 from qdlab.cli import EXIT_GATE, EXIT_USAGE, EXIT_VALIDATION, main
@@ -216,6 +222,8 @@ class TestMalformedInput:
             (["disc", "--input"], {"n": 2, "sets": 5}),
             (["disc", "--input"], {"n": 2, "sets": [5]}),
             (["dpp", "sample", "--seed", "1", "--kernel"], [[1, 2], [3, 4]]),
+            (["qdisc", "--seed", "1", "--input"], {"n": 1000000000000, "sets": [[1]]}),
+            (["disc", "--heuristic", "--seed", "1", "--input"], {"n": 1000000000000, "sets": [[1]]}),
         ],
     )
     def test_exit_code_and_message(self, tmp_path, capsys, argv, doc):
@@ -226,6 +234,58 @@ class TestMalformedInput:
         assert code == EXIT_VALIDATION
         assert "validation failure" in err
         assert "Traceback" not in err
+
+
+# Ints are small or far out of range: a valid mid-size n (say 3000) is a legal
+# input whose qdisc run takes hours, which says nothing about the input boundary.
+_json_ints = st.integers(-3, 12) | st.sampled_from([-(10**12), 2**31, 2**63, 10**12, 10**400])
+_json_scalars = (
+    st.none() | st.booleans() | _json_ints | st.floats(-1e3, 1e3) | st.text(max_size=3)
+    | st.sampled_from([float("inf"), float("nan"), 1e308])
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "sets", "projections", "x"]), inner, max_size=3),
+    max_leaves=16,
+)
+# Near-valid shapes (set and projection documents, matrices of [re, im]
+# pairs) sit next to arbitrary ones, so inputs reach the checks past parsing.
+_index_lists = st.lists(st.lists(_json_ints, max_size=3), max_size=3)
+_pair_matrices = st.lists(st.lists(st.lists(_json_scalars, max_size=3), max_size=3), max_size=3)
+_json_docs = st.one_of(
+    _json_values,
+    _pair_matrices,
+    st.fixed_dictionaries({"n": _json_ints | _json_values, "sets": _index_lists | _json_values}),
+    st.fixed_dictionaries(
+        {"n": _json_ints | _json_values, "projections": st.lists(_pair_matrices, max_size=2) | _json_values}
+    ),
+    st.dictionaries(st.sampled_from(["n", "sets", "projections", "x"]), _json_values, max_size=3),
+)
+
+
+class TestFuzzedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["disc", "--input"],
+            ["disc", "--heuristic", "--seed", "1", "--trials", "2", "--input"],
+            ["qdisc", "--seed", "1", "--restarts", "1", "--sweeps", "1", "--input"],
+            ["dpp", "sample", "--seed", "1", "--trials", "3", "--kernel"],
+        ],
+    )
+    @given(doc=_json_docs)
+    @settings(max_examples=150, deadline=None)
+    def test_exits_zero_or_two_without_traceback(self, argv, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            # an exception escaping main() would be a traceback and fails the example
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, str(path), "--out", str(Path(tmp) / "r.csv")])
+        assert code in (0, EXIT_VALIDATION), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestThreadsInvariance:

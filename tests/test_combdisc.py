@@ -6,6 +6,7 @@ import pytest
 
 from qdlab import (
     SetSystem,
+    arithmetic_progressions,
     disc_exact,
     disc_heuristic,
     disc_random_bound,
@@ -14,6 +15,7 @@ from qdlab import (
     random_set_system,
 )
 from qdlab.errors import DegenerateM, GroundSetTooLarge
+from qdlab.setsys import incidence_matrix
 
 from conftest import brute_force_disc
 
@@ -77,6 +79,59 @@ class TestDiscExact:
         value, witness = disc_exact(SetSystem(4, ((1, 2), (3, 4), (1, 2, 3, 4))))
         assert value == 0
         assert all(v == 0 for v in evaluate_coloring(SetSystem(4, ((1, 2), (3, 4), (1, 2, 3, 4))), witness))
+
+
+def lex_min_oracle(system):
+    """Value and lex-smallest optimal witness with chi(1) = +1, by scoring
+    all 2^(N-1) colorings at once."""
+    n = system.ground_size
+    ks = np.arange(1 << (n - 1))
+    bits = (ks[:, None] >> np.arange(n - 2, -1, -1)) & 1
+    signs = np.hstack([np.ones((ks.size, 1), dtype=int), 2 * bits - 1])
+    values = np.abs(signs @ incidence_matrix(system).T).max(axis=1)
+    k = int(values.argmin())
+    return int(values[k]), tuple(signs[k])
+
+
+class TestDiscExactBlocks:
+    """disc_exact enumerates blocks of 2^12 colorings under a high prefix;
+    N = 13..17 gives prefixes of 0 to 4 signs."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_oracle(self, seed):
+        rng = np.random.default_rng((4321, seed))
+        n = 13 + seed % 5
+        m = int(rng.integers(1, 40))
+        mask = rng.random((m, n)) < rng.uniform(0.1, 0.9)
+        system = SetSystem(n, tuple(tuple(int(j + 1) for j in np.flatnonzero(r)) for r in mask))
+        value, witness = disc_exact(system)
+        assert (value, tuple(witness.signs)) == lex_min_oracle(system)
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            SetSystem(1, ((1,),)),
+            SetSystem(1, ((),)),
+            SetSystem(15, ((), (2, 5, 9), (1, 14, 15), (3,))),
+            SetSystem(16, (tuple(range(1, 17)),)),
+            SetSystem(15, (tuple(range(1, 16)),)),
+        ],
+    )
+    def test_edge_systems(self, system):
+        value, witness = disc_exact(system)
+        assert (value, tuple(witness.signs)) == lex_min_oracle(system)
+
+    def test_ap20_witness(self):
+        value, witness = disc_exact(arithmetic_progressions(20))
+        assert value == 3
+        assert witness.signs.tolist() == [1, -1, -1, -1, 1, -1, 1, 1, -1, 1, -1, 1, -1, -1, 1, -1, 1, 1, 1, -1]
+
+    def test_ap24_at_cap(self):
+        value, witness = disc_exact(arithmetic_progressions(24))
+        assert value == 3
+        assert witness.signs.tolist() == [
+            1, -1, -1, 1, -1, 1, -1, -1, 1, -1, 1, 1, 1, -1, -1, -1, 1, 1, -1, 1, -1, 1, 1, -1
+        ]
 
 
 class TestRandomColoringBound:

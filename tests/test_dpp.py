@@ -81,6 +81,13 @@ class TestSampling:
         k = validate_kernel(p.array)
         assert all(len(s.points) == p.rank for s in sample_many(k, 400, 5))
 
+    def test_large_projection_kernel_constant_size(self):
+        # the dense sampler at the size the README claims: rank 200 at N = 400
+        p = random_projection(400, 8)
+        k = validate_kernel(p.array)
+        assert p.rank == 200
+        assert all(len(s.points) == 200 for s in sample_many(k, 4, 9))
+
     def test_single_sample_seeded(self):
         k = random_kernel(5, 0)
         assert sample(k, 7).points == sample(k, 7).points

@@ -198,7 +198,18 @@ class TestMatrixJson:
         with pytest.raises(ValueError):
             matrix_from_json([[1.0, 2.0], [3.0, 4.0]])
 
-    @pytest.mark.parametrize("data", [[[1.0, 2.0], [3.0, 4.0]], [[[1, 0]], [[1, 0], [0, 0]]], "x", [["a", "b"]]])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[1.0, 2.0], [3.0, 4.0]],
+            [[[1, 0]], [[1, 0], [0, 0]]],
+            "x",
+            [["a", "b"]],
+            [[[float("nan"), 0.0]]],
+            [[[0.5, float("inf")]]],
+            [[[10**400, 0]]],
+        ],
+    )
     def test_malformed_is_validation_error(self, data):
         with pytest.raises(ValidationError):
             matrix_from_json(data)

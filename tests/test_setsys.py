@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qdlab import (
     Coloring,
+    ProjectionSystem,
     SetSystem,
     arithmetic_progressions,
     evaluate_coloring,
@@ -13,6 +14,7 @@ from qdlab import (
     to_projection_system,
 )
 from qdlab.errors import DimMismatch, IndexOutOfRange, ValidationError
+from qdlab.setsys import MAX_GROUND_SIZE
 
 
 def ap_brute(n):
@@ -162,3 +164,10 @@ class TestSetSystemValidation:
     def test_json_roundtrip(self):
         system = random_set_system(5, 3, 8)
         assert SetSystem.from_json(system.to_json()).sets == system.sets
+
+    def test_json_size_limit(self):
+        assert SetSystem.from_json({"n": MAX_GROUND_SIZE, "sets": [[1]]}).ground_size == MAX_GROUND_SIZE
+        with pytest.raises(ValidationError, match="exceeds"):
+            SetSystem.from_json({"n": MAX_GROUND_SIZE + 1, "sets": [[1]]})
+        with pytest.raises(ValidationError, match="exceeds"):
+            ProjectionSystem.from_json({"n": MAX_GROUND_SIZE + 1, "projections": [[[[1, 0]]]]})
