@@ -10,8 +10,8 @@ concentration tails.
 import numpy as np
 
 from qdlab import (
-    check_delta_event,
     concentration_probe,
+    delta_event_count,
     disc_random_bound,
     random_coloring_satisfaction,
     random_projection_system,
@@ -36,10 +36,8 @@ print(f"using c = min = {c:.2f}")
 
 for m in (4, 64):
     psys = random_projection_system(n, m, seed=(6, m))
-    hits = 0
     trials = 400
-    for t in range(trials):
-        chi = random_quantum_coloring(n, seed=(7, m, t))
-        hits += check_delta_event(psys, chi, c).all_satisfied
+    colorings = (random_quantum_coloring(n, seed=(7, m, t)).array for t in range(trials))
+    hits = delta_event_count(psys, colorings, c)
     print(f"  M={m:3d}: random colorings satisfy all Delta_P simultaneously "
           f"in {hits}/{trials} trials")

@@ -51,6 +51,7 @@ from .qdisc import (
     QdiscEstimate,
     TrivialBoundRecord,
     check_delta_event,
+    delta_event_count,
     delta_p,
     delta_threshold,
     lipschitz_check,

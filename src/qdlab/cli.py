@@ -28,7 +28,7 @@ from .concentration import comparison_check, lower_bound_constants
 from .dpp import exact_distribution, sample_many, size_pmf, validate_kernel
 from .errors import GroundSetTooLarge, QdlabError, ValidationError
 from .matcore import matrix_from_json, matrix_to_json
-from .qdisc import QdiscEstimate, _objective_values, delta_threshold, objective, qdisc_estimate
+from .qdisc import QdiscEstimate, delta_event_count, delta_thresholds, objective, qdisc_estimate
 from .randmat import (
     concentration_probe,
     moment_gates,
@@ -36,6 +36,7 @@ from .randmat import (
     random_projection,
     random_projection_system,
     random_quantum_coloring,
+    z_score,
 )
 from .setsys import (
     ProjectionSystem,
@@ -238,10 +239,6 @@ def _seed_root(cfg: dict) -> np.random.SeedSequence:
     return np.random.SeedSequence(cfg["seed"] if cfg["seed"] is not None else 0)
 
 
-def _signs_str(signs) -> str:
-    return "".join("+" if s > 0 else "-" for s in signs)
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -285,7 +282,7 @@ def cmd_disc(cfg: dict) -> ExperimentReport:
     summary = {
         "disc": value,
         "method": method,
-        "witness": _signs_str(witness.signs),
+        "witness": "".join("+" if s > 0 else "-" for s in witness.signs),
         "n": system.ground_size,
         "m": system.num_sets,
         "system": system.to_json(),
@@ -358,13 +355,9 @@ def cmd_ubound(cfg: dict) -> ExperimentReport:
     rows = []
     for pos, m in enumerate(m_grid):
         system = random_projection_system(n, m, m_children[2 * pos])
-        stacked = system.stacked()
-        ranks = system.ranks().astype(float)
-        deltas = np.array([delta_threshold(n, int(r), m, c_used) for r in system.ranks()])
-        successes = 0
-        for child in m_children[2 * pos + 1].spawn(trials):
-            chi = random_quantum_coloring(n, child).array
-            successes += bool((_objective_values(chi, stacked, ranks) <= deltas).all())
+        colorings = (random_quantum_coloring(n, child).array for child in m_children[2 * pos + 1].spawn(trials))
+        successes = delta_event_count(system, colorings, c_used)
+        deltas = delta_thresholds(system, c_used)
         lo, hi = _binomial_ci(successes, trials)
         rows.append({
             "n": n, "m": m, "c": c_used, "trials": trials,
@@ -463,15 +456,11 @@ def cmd_dpp(cfg: dict) -> ExperimentReport:
     # action == "check": compare empirical statistics against exact laws
     n = kernel.dim
     dist = exact_distribution(kernel)  # raises GroundSetTooLarge past the cap
-    counts = np.zeros(1 << n)
-    size_counts = np.zeros(n + 1)
-    incl_counts = np.zeros(n)
-    for s in draws:
-        counts[s.mask()] += 1
-        size_counts[len(s.points)] += 1
-        for p in s.points:
-            incl_counts[p - 1] += 1
-    emp = counts / trials
+    masks = np.array([s.mask() for s in draws], dtype=np.int64)
+    members = (masks[:, None] >> np.arange(n)) & 1
+    incl_counts = members.sum(axis=0)
+    size_counts = np.bincount(members.sum(axis=1), minlength=n + 1)
+    emp = np.bincount(masks, minlength=1 << n) / trials
     exact = np.array([dist[t] for t in dist])
     subset_tv = 0.5 * float(np.abs(emp - exact).sum())
     size_tv = 0.5 * float(np.abs(size_counts / trials - size_pmf(kernel)).sum())
@@ -485,12 +474,7 @@ def cmd_dpp(cfg: dict) -> ExperimentReport:
     diag = kernel.array.diagonal().real
     for i in range(n):
         p = float(diag[i])
-        freq = incl_counts[i] / trials
-        se = math.sqrt(max(p * (1 - p), 0.0) / trials)
-        if se == 0.0:
-            z = 0.0 if abs(freq - p) <= 1e-12 else math.inf
-        else:
-            z = (freq - p) / se
+        z = z_score(incl_counts[i] / trials, p, math.sqrt(max(p * (1 - p), 0.0) / trials))
         rows.append({"check": "inclusion_z", "index": i + 1, "value": z, "reference": p,
                      "gate": z_gate, "passed": abs(z) <= z_gate})
     all_pass = all(r["passed"] for r in rows)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combdisc import DEFAULT_EXHAUSTIVE_CAP, disc_exact
-from .errors import ConditionViolated, NonPositiveT, ValidationError
+from .errors import NonPositiveT, ValidationError
 from .qdisc import QdiscEstimate, qdisc_estimate
 from .setsys import SetSystem, to_projection_system
 
@@ -106,12 +106,11 @@ class LowerBoundConstants:
 
 def lower_bound_constants(alpha: float) -> LowerBoundConstants:
     """epsilon = 1/20 and zeta = 1 / (2 sqrt(10 (1 + alpha))), valid whenever
-    log M <= alpha N; the defining condition is asserted to hold."""
+    log M <= alpha N. Since zeta^2 (1 + alpha) = 1/40, the margin is
+    1/5 - 1/40 - 1/10 = 3/40 for every alpha."""
     if alpha <= 0:
         raise ValidationError(f"need alpha > 0, got {alpha}")
     epsilon = 1.0 / 20.0
     zeta = 1.0 / (2.0 * math.sqrt(10.0 * (1.0 + alpha)))
     margin = 0.2 - zeta * zeta * (1.0 + alpha) - 2.0 * epsilon
-    if margin <= 0:
-        raise ConditionViolated(f"condition margin {margin} is not positive")
     return LowerBoundConstants(epsilon, zeta, margin)

@@ -21,7 +21,7 @@ from .errors import (
     SpectrumOutOfRange,
     ValidationError,
 )
-from .matcore import HermitianMatrix, as_complex_array, make_hermitian, seed_sequence, trace_pair
+from .matcore import HermitianMatrix, make_hermitian, seed_sequence, trace_pair
 
 SPECTRUM_TOL = 1e-10
 # Eigenvalues this close to 0 or 1 are snapped exactly, so projection kernels
@@ -45,10 +45,7 @@ class ProcessSample:
 
     def mask(self) -> int:
         """Bitmask with bit i-1 set for each point i."""
-        m = 0
-        for p in self.points:
-            m |= 1 << (p - 1)
-        return m
+        return sum(1 << (p - 1) for p in self.points)
 
 
 class DPPKernel:
@@ -89,27 +86,25 @@ class DPPKernel:
 def validate_kernel(matrix) -> DPPKernel:
     """Accept a Hermitian matrix iff its spectrum lies in [0, 1] (within
     1e-10), clamping and snapping boundary eigenvalues."""
-    m = matrix if isinstance(matrix, HermitianMatrix) else make_hermitian(as_complex_array(matrix))
-    return DPPKernel(m)
+    return DPPKernel(make_hermitian(matrix))
 
 
-def _check_subset(subset, n: int) -> list[int]:
+def _principal(kernel: DPPKernel, subset) -> np.ndarray:
+    """K[S, S] for a subset S of [N] given by 1-based indices; 0 x 0 when S
+    is empty."""
+    n = kernel.dim
     pts = [int(i) for i in subset]
     if any(i < 1 or i > n for i in pts):
         raise IndexOutOfRange(f"subset {pts} leaves [1, {n}]")
     if len(set(pts)) != len(pts):
         raise IndexOutOfRange(f"subset {pts} contains duplicates")
-    return sorted(pts)
+    idx = np.array(sorted(pts), dtype=int) - 1
+    return kernel.array[np.ix_(idx, idx)]
 
 
 def joint_intensity(kernel: DPPKernel, subset) -> float:
     """P[T subset of X] = det K[T, T]; the empty set has intensity 1."""
-    pts = _check_subset(subset, kernel.dim)
-    if not pts:
-        return 1.0
-    idx = np.array(pts) - 1
-    sub = kernel.array[np.ix_(idx, idx)]
-    return float(np.linalg.det(sub).real)
+    return float(np.linalg.det(_principal(kernel, subset)).real)
 
 
 def sample(kernel: DPPKernel, seed) -> ProcessSample:
@@ -169,11 +164,10 @@ def sample_many(kernel: DPPKernel, trials: int, seed, spawn: bool = False) -> li
 
 def restrict_kernel(kernel: DPPKernel, subset) -> DPPKernel:
     """The kernel P_S K P_S compressed to the |S| x |S| principal submatrix."""
-    pts = _check_subset(subset, kernel.dim)
-    if not pts:
+    sub = _principal(kernel, subset)
+    if sub.size == 0:
         raise EmptyRestriction("cannot restrict a kernel to the empty set")
-    idx = np.array(pts) - 1
-    return validate_kernel(kernel.array[np.ix_(idx, idx)])
+    return validate_kernel(sub)
 
 
 def size_pmf(kernel: DPPKernel) -> np.ndarray:
@@ -218,12 +212,9 @@ def exact_distribution(kernel: DPPKernel, cap: int = EXACT_DISTRIBUTION_CAP) -> 
 
 def _embedded_terms(kernel: DPPKernel, subset) -> tuple[float, float, int]:
     """(tr(K P_S), tr((K P_S)^2), |S|) for the diagonal embedding P_S."""
-    pts = _check_subset(subset, kernel.dim)
-    if not pts:
-        return 0.0, 0.0, 0
-    idx = np.array(pts) - 1
-    t1, t2 = trace_pair(kernel.array[np.ix_(idx, idx)])
-    return float(t1), float(t2), len(pts)
+    sub = _principal(kernel, subset)
+    t1, t2 = trace_pair(sub)
+    return float(t1), float(t2), sub.shape[0]
 
 
 def expected_squared_imbalance(kernel: DPPKernel, subset) -> float:
@@ -238,13 +229,8 @@ def expected_squared_imbalance(kernel: DPPKernel, subset) -> float:
 
 def moments_of_count(kernel: DPPKernel, subset) -> tuple[float, float]:
     """(E[X(S)], E[X(S)^2]) from singleton and pair joint intensities."""
-    pts = _check_subset(subset, kernel.dim)
-    if not pts:
-        return 0.0, 0.0
-    idx = np.array(pts) - 1
-    sub = kernel.array[np.ix_(idx, idx)]
-    diag = sub.diagonal().real
-    mean = float(diag.sum())
+    sub = _principal(kernel, subset)
+    mean = float(sub.diagonal().real.sum())
     # sum over i != j of det K[{i,j}] = (sum diag)^2 - ||sub||_F^2
     pair_sum = mean * mean - float(np.sum(np.abs(sub) ** 2))
     return mean, mean + pair_sum

@@ -61,10 +61,6 @@ class RankMismatch(QdlabError, ValueError):
     """Projection rank differs from the rank the operation requires."""
 
 
-class KernelInvalid(QdlabError, ValueError):
-    """A derived matrix unexpectedly failed kernel validation."""
-
-
 class NumericalBreakdown(QdlabError, ArithmeticError):
     """Residual mass collapsed mid-sampling; refusing to emit a biased draw."""
 
@@ -75,7 +71,3 @@ class EmptyRestriction(QdlabError, ValueError):
 
 class NonPositiveT(QdlabError, ValueError):
     """Tail bound requested at a non-positive deviation t."""
-
-
-class ConditionViolated(QdlabError, ArithmeticError):
-    """A proof-side inequality failed; indicates invalid constants."""

@@ -43,8 +43,6 @@ def as_complex_array(matrix) -> np.ndarray:
     """Unwrap matrix-carrying objects (anything with an .array attribute,
     such as HermitianMatrix, projections, colorings, or DPP kernels) into a
     complex128 ndarray."""
-    if isinstance(matrix, np.ndarray):
-        return matrix.astype(np.complex128, copy=False)
     return np.asarray(getattr(matrix, "array", matrix), dtype=np.complex128)
 
 
@@ -58,12 +56,14 @@ class HermitianMatrix:
         a = np.asarray(self.array, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise NonSquare(f"expected a square matrix with N >= 1, got shape {a.shape}")
-        anti = 0.5 * (a - a.conj().T)
-        scale = np.linalg.norm(a)
-        if np.linalg.norm(anti) > HERMITIAN_REL_TOL * max(scale, 1e-300):
+        # Norms of a scaled to parts in [-1, 1] cannot overflow; the parts are
+        # scaled as reals, since a complex quotient overflows for a subnormal peak.
+        peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
+        unit = a.real / peak + 1j * (a.imag / peak) if peak > 0 else a
+        rel = np.linalg.norm(0.5 * (unit - unit.conj().T)) / max(np.linalg.norm(unit), 1e-300)
+        if rel > HERMITIAN_REL_TOL:
             raise TooFarFromHermitian(
-                f"anti-Hermitian part has relative Frobenius norm "
-                f"{np.linalg.norm(anti) / max(scale, 1e-300):.3e} > {HERMITIAN_REL_TOL:g}"
+                f"anti-Hermitian part has relative Frobenius norm {rel:.3e} > {HERMITIAN_REL_TOL:g}"
             )
         object.__setattr__(self, "array", _freeze(0.5 * (a + a.conj().T)))
 
@@ -77,8 +77,15 @@ class HermitianMatrix:
 
 def make_hermitian(raw) -> HermitianMatrix:
     """Symmetrize a square complex matrix, rejecting inputs that are too far
-    from Hermitian (relative anti-Hermitian Frobenius norm above 1e-6)."""
-    return HermitianMatrix(raw)
+    from Hermitian (relative anti-Hermitian Frobenius norm above 1e-6). A
+    HermitianMatrix is returned as it is; other matrix-carrying objects are
+    unwrapped by as_complex_array."""
+    return raw if isinstance(raw, HermitianMatrix) else HermitianMatrix(as_complex_array(raw))
+
+
+def conjugate_diagonal(u: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """U diag(spectrum) U* over the last two axes of a matrix or a stack."""
+    return (u * spectrum) @ u.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -93,8 +100,7 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvectors", _freeze(np.asarray(self.eigenvectors, dtype=np.complex128)))
 
     def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        return conjugate_diagonal(self.eigenvectors, self.eigenvalues)
 
 
 def spectral_decompose(a) -> SpectralDecomposition:
@@ -151,8 +157,7 @@ class OrthogonalProjection:
 
 def as_projection(matrix) -> OrthogonalProjection:
     """Validate an orthogonal projection from any matrix-like input."""
-    m = matrix if isinstance(matrix, HermitianMatrix) else make_hermitian(as_complex_array(matrix))
-    return OrthogonalProjection(m)
+    return OrthogonalProjection(make_hermitian(matrix))
 
 
 @dataclass(frozen=True)
@@ -193,8 +198,7 @@ class QuantumColoring:
 
 def as_coloring(matrix) -> QuantumColoring:
     """Validate a quantum coloring from any matrix-like input."""
-    m = matrix if isinstance(matrix, HermitianMatrix) else make_hermitian(as_complex_array(matrix))
-    return QuantumColoring(m)
+    return QuantumColoring(make_hermitian(matrix))
 
 
 def schatten_norm(a, p) -> float:

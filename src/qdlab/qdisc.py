@@ -25,15 +25,14 @@ from .dpp import expected_squared_imbalance, validate_kernel
 from .errors import (
     DegenerateDim,
     DimMismatch,
-    KernelInvalid,
     RankMismatch,
-    SpectrumOutOfRange,
     ValidationError,
 )
 from .matcore import (
     OrthogonalProjection,
     QuantumColoring,
     as_projection,
+    conjugate_diagonal,
     make_hermitian,
     schatten_norm,
     seed_sequence,
@@ -99,10 +98,7 @@ def objective_vs_dpp(coloring: QuantumColoring, subset) -> DppConsistencyRecord:
     """Evaluate the squared imbalance of S under the kernel (chi + I)/2 and
     the squared objective of chi against the diagonal embedding of S."""
     n = coloring.dim
-    try:
-        kernel = validate_kernel(0.5 * (coloring.array + np.eye(n)))
-    except SpectrumOutOfRange as exc:  # unreachable for a valid coloring
-        raise KernelInvalid(str(exc)) from exc
+    kernel = validate_kernel(0.5 * (coloring.array + np.eye(n)))
     diag = np.zeros(n, dtype=np.complex128)
     for i in subset:
         if not 1 <= int(i) <= n:
@@ -184,17 +180,34 @@ class DeltaEventRecord:
         return bool(self.satisfied.all())
 
 
+def delta_thresholds(system: ProjectionSystem, c: float) -> np.ndarray:
+    """Delta_{P_j} at constant c for every projection of the system."""
+    m = system.num_projections
+    return np.array([delta_threshold(system.dim, int(r), m, c) for r in system.ranks()])
+
+
 def check_delta_event(system: ProjectionSystem, coloring: QuantumColoring, c: float) -> DeltaEventRecord:
     """Check every inequality objective(chi, P_j) <= Delta_{P_j} at constant c."""
     if coloring.dim != system.dim:
         raise DimMismatch(f"coloring dim {coloring.dim} vs system dim {system.dim}")
+    values = _objective_values(coloring.array, system.stacked(), system.ranks().astype(float))
+    thresholds = delta_thresholds(system, c)
+    return DeltaEventRecord(values, thresholds, values <= thresholds)
+
+
+def delta_event_count(system: ProjectionSystem, colorings, c: float) -> int:
+    """How many colorings satisfy every inequality objective(chi, P_j) <=
+    Delta_{P_j} at constant c. `colorings` is a (T, N, N) stack of coloring
+    arrays or any iterable of N x N ones, read once and in order."""
     stacked = system.stacked()
     ranks = system.ranks().astype(float)
-    values = _objective_values(coloring.array, stacked, ranks)
-    thresholds = np.array(
-        [delta_threshold(system.dim, int(r), system.num_projections, c) for r in ranks]
-    )
-    return DeltaEventRecord(values, thresholds, values <= thresholds)
+    thresholds = delta_thresholds(system, c)
+    hits = 0
+    for chi in colorings:
+        if chi.shape != (system.dim, system.dim):
+            raise DimMismatch(f"coloring of shape {chi.shape} vs system dim {system.dim}")
+        hits += bool((_objective_values(chi, stacked, ranks) <= thresholds).all())
+    return hits
 
 
 def _objective_values(chi: np.ndarray, stacked: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -309,9 +322,7 @@ class _CandidateState:
         return f, apply
 
     def coloring_array(self) -> np.ndarray:
-        d = -np.ones(self.n)
-        d[: self.k] = 1.0
-        return (self.u * d) @ self.u.conj().T
+        return conjugate_diagonal(self.u, np.where(np.arange(self.n) < self.k, 1.0, -1.0))
 
 
 def _refine_candidate(
@@ -361,17 +372,10 @@ def _refine_candidate(
 
 def _diagonal_sets(stacked: np.ndarray) -> list[tuple[int, ...]] | None:
     """If every projection is diagonal, recover the underlying subsets."""
-    n = stacked.shape[1]
-    off = stacked.copy()
-    idx = np.arange(n)
-    off[:, idx, idx] = 0.0
-    if np.abs(off).max() > 0.0:
+    diag = np.diagonal(stacked, axis1=1, axis2=2)
+    if np.count_nonzero(stacked) > np.count_nonzero(diag):
         return None
-    sets = []
-    for m in range(stacked.shape[0]):
-        diag = stacked[m].diagonal().real
-        sets.append(tuple(int(i + 1) for i in np.flatnonzero(diag > 0.5)))
-    return sets
+    return [tuple(int(i + 1) for i in np.flatnonzero(row.real > 0.5)) for row in diag]
 
 
 def _combinatorial_candidate(system: ProjectionSystem, seed) -> np.ndarray | None:
@@ -393,12 +397,8 @@ def _combinatorial_candidate(system: ProjectionSystem, seed) -> np.ndarray | Non
 
 
 def _permutation_unitary_for_signs(signs: np.ndarray) -> tuple[np.ndarray, int]:
-    n = signs.size
-    order = [i for i in range(n) if signs[i] > 0] + [i for i in range(n) if signs[i] < 0]
-    u = np.zeros((n, n), dtype=np.complex128)
-    for col, row in enumerate(order):
-        u[row, col] = 1.0
-    return u, int(np.count_nonzero(signs > 0))
+    order = np.argsort(signs < 0, kind="stable")  # the + indices, then the - ones
+    return np.eye(signs.size, dtype=np.complex128)[:, order], int(np.count_nonzero(signs > 0))
 
 
 def qdisc_estimate(

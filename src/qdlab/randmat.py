@@ -11,31 +11,51 @@ oracles throughout the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dpp import DPPKernel, validate_kernel
 from .errors import DegenerateDim, ValidationError
-from .matcore import OrthogonalProjection, QuantumColoring, make_hermitian, seed_sequence, trace_pair
+from .matcore import (
+    OrthogonalProjection, QuantumColoring, conjugate_diagonal, make_hermitian, seed_sequence, trace_pair
+)
 from .setsys import ProjectionSystem
 
 
-def _ginibre(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+# Monte Carlo loops draw unitaries in chunks of this many matrix entries (1024
+# trials at N = 4, 16 at N = 32): a quarter megabyte per complex array at any N.
+BATCH_ENTRIES = 1 << 14
 
 
-def _haar(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(_ginibre(rng, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def haar_batch(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
+    """`trials` Haar-distributed elements of U(N) as a (trials, N, N) stack.
+
+    Each is the Q factor of a complex Ginibre matrix with the phases of R's
+    diagonal moved into Q (Mezzadri, math-ph/0609050). The generator keeps
+    no state between calls, so one call reads the same numbers as `trials`
+    calls with trials = 1 and gives the same unitaries bit for bit.
+    """
+    g = rng.standard_normal((trials, 2, n, n))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _haar_chunks(rng: np.random.Generator, trials: int, n: int):
+    """Draw `trials` unitaries in chunks of BATCH_ENTRIES matrix entries,
+    yielding (rows, stack) pairs in draw order."""
+    step = max(1, BATCH_ENTRIES // (n * n))
+    for lo in range(0, trials, step):
+        hi = min(lo + step, trials)
+        yield slice(lo, hi), haar_batch(rng, hi - lo, n)
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
     """One Haar-distributed element of U(N)."""
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    return _haar(np.random.default_rng(seed), n)
+    return haar_batch(np.random.default_rng(seed), 1, n)[0]
 
 
 def coloring_spectrum(n: int) -> np.ndarray:
@@ -49,8 +69,7 @@ def random_quantum_coloring(n: int, seed) -> QuantumColoring:
     """chi = U D U* with D = diag(+1 x floor(N/2), -1 x ceil(N/2)), U Haar."""
     if n < 2:
         raise DegenerateDim(f"random colorings need n >= 2, got {n}")
-    u = haar_unitary(n, seed)
-    chi = (u * coloring_spectrum(n)) @ u.conj().T
+    chi = conjugate_diagonal(haar_unitary(n, seed), coloring_spectrum(n))
     return QuantumColoring(make_hermitian(chi), plus_count=n // 2)
 
 
@@ -76,9 +95,8 @@ def random_projection_system(n: int, m: int, seed) -> ProjectionSystem:
 def random_kernel(n: int, seed) -> DPPKernel:
     """A random Hermitian DPP kernel U diag(u_1..u_N) U* with uniform spectrum."""
     rng = np.random.default_rng(seed)
-    u = _haar(rng, n)
-    lam = rng.random(n)
-    return validate_kernel((u * lam) @ u.conj().T)
+    u = haar_batch(rng, 1, n)[0]
+    return validate_kernel(conjugate_diagonal(u, rng.random(n)))
 
 
 def exact_mean_trace(n: int, r: int) -> float:
@@ -217,14 +235,32 @@ class MomentGate:
         return abs(self.z) <= z_gate
 
 
+def z_score(estimate: float, exact: float, se: float) -> float:
+    """(estimate - exact) / se; with se = 0, 0 for a match within 1e-12 and
+    inf otherwise."""
+    if se == 0.0:
+        return 0.0 if abs(estimate - exact) <= 1e-12 else math.inf
+    return (estimate - exact) / se
+
+
 def _gate(name: str, n: int, param: int, exact: float, samples: np.ndarray) -> MomentGate:
     est = float(samples.mean())
     se = float(samples.std(ddof=1) / math.sqrt(samples.size))
-    if se == 0.0:
-        z = 0.0 if abs(est - exact) <= 1e-12 else math.inf
-    else:
-        z = (est - exact) / se
-    return MomentGate(name, n, param, exact, est, se, z)
+    return MomentGate(name, n, param, exact, est, se, z_score(est, exact, se))
+
+
+def _corner_sums(a: np.ndarray) -> np.ndarray:
+    """For a (T, N, N) stack, the (T, N+1, N+1) table of sums of |a_pq|^2
+    over p < i and q < j; entry [t, r, r] is tr((P_r a_t)^2) for a
+    Hermitian a_t and the diagonal projection P_r onto the first r axes."""
+    out = np.zeros((a.shape[0], a.shape[1] + 1, a.shape[2] + 1))
+    out[:, 1:, 1:] = (np.abs(a) ** 2).cumsum(axis=1).cumsum(axis=2)
+    return out
+
+
+# numpy's array power rounds differently from the C library's pow, which its
+# scalar power calls; the entry moments keep the scalar rounding.
+_pow = np.frompyfunc(math.pow, 2, 1)
 
 
 def moment_gates(n: int, trials: int, seed, all_ranks: bool = False) -> list[MomentGate]:
@@ -253,31 +289,28 @@ def moment_gates(n: int, trials: int, seed, all_ranks: bool = False) -> list[Mom
     t1 = np.empty((trials, len(ranks)))
     t2 = np.empty((trials, len(ranks)))
     eq18 = np.empty((trials, len(fixed_ks)))
-    m4 = np.empty((trials, 4))
-    for t in range(trials):
-        u = _haar(rng, n)
-        chi = (u * d) @ u.conj().T
-        abs_chi2 = np.abs(chi) ** 2
-        diag_cum = np.concatenate(([0.0], np.cumsum(chi.diagonal().real)))
-        corner = np.zeros((n + 1, n + 1))
-        corner[1:, 1:] = abs_chi2.cumsum(axis=0).cumsum(axis=1)
-        for col, r in enumerate(ranks):
-            t1[t, col] = diag_cum[r]
-            t2[t, col] = corner[r, r]
-        proj = u[:, :r0] @ u[:, :r0].conj().T
-        abs_p2 = np.abs(proj) ** 2
-        pcorner = np.zeros((n + 1, n + 1))
-        pcorner[1:, 1:] = abs_p2.cumsum(axis=0).cumsum(axis=1)
-        total = pcorner[n, n]
-        for col, k in enumerate(fixed_ks):
-            plus = pcorner[k, k]
-            cross = pcorner[k, n] - pcorner[k, k]
-            minus = total - plus - 2 * cross
-            eq18[t, col] = plus + minus - 2 * cross
-        m4[t, 0] = np.abs(u[0, 0]) ** 4
-        m4[t, 1] = (np.abs(u[0, 0]) * np.abs(u[0, 1])) ** 2
-        m4[t, 2] = (np.abs(u[0, 0]) * np.abs(u[1, 1])) ** 2
-        m4[t, 3] = (u[0, 0] * u[1, 1] * np.conj(u[1, 0]) * np.conj(u[0, 1])).real
+    m4 = np.empty((trials, 4))  # columns in the field order of HaarFourthMoments
+    for rows, u in _haar_chunks(rng, trials, n):
+        chi = conjugate_diagonal(u, d)
+        diag_cum = np.zeros((u.shape[0], n + 1))
+        diag_cum[:, 1:] = np.cumsum(np.diagonal(chi, axis1=1, axis2=2).real, axis=1)
+        t1[rows] = diag_cum[:, ranks]
+        t2[rows] = _corner_sums(chi)[:, ranks, ranks]
+        frame = u[:, :, :r0]
+        pcorner = _corner_sums(frame @ frame.conj().swapaxes(1, 2))
+        plus = pcorner[:, fixed_ks, fixed_ks]
+        cross = pcorner[:, fixed_ks, n] - plus
+        minus = pcorner[:, n, n, None] - plus - 2 * cross
+        eq18[rows] = plus + minus - 2 * cross
+        a00, a01, a11 = np.abs(u[:, 0, 0]), np.abs(u[:, 0, 1]), np.abs(u[:, 1, 1])
+        m4[rows, :3] = _pow(np.stack([a00, a00 * a01, a00 * a11], axis=1), [4.0, 2.0, 2.0])
+        # U_00 U_11 conj(U_10) conj(U_01) factor by factor on real and imaginary
+        # parts, rounded as numpy's scalar complex product; its array product
+        # can differ in the last bit.
+        re, im = u[:, 0, 0].real, u[:, 0, 0].imag
+        for z in (u[:, 1, 1], u[:, 1, 0].conj(), u[:, 0, 1].conj()):
+            re, im = re * z.real - im * z.imag, re * z.imag + im * z.real
+        m4[rows, 3] = re
 
     gates: list[MomentGate] = []
     for col, r in enumerate(ranks):
@@ -289,11 +322,8 @@ def moment_gates(n: int, trials: int, seed, all_ranks: bool = False) -> list[Mom
     for col, k in enumerate(fixed_ks):
         exact = exact_mean_trace_sq_fixed_coloring(n, 2 * k - n)
         gates.append(_gate("mean_trace_sq_fixed", n, k, exact, eq18[:, col]))
-    fm = haar_fourth_moments(n)
-    gates.append(_gate("abs_fourth", n, 0, fm.abs_fourth, m4[:, 0]))
-    gates.append(_gate("abs_shared_index", n, 0, fm.abs_shared_index, m4[:, 1]))
-    gates.append(_gate("abs_distinct", n, 0, fm.abs_distinct, m4[:, 2]))
-    gates.append(_gate("cross", n, 0, fm.cross, m4[:, 3]))
+    for col, (name, exact) in enumerate(asdict(haar_fourth_moments(n)).items()):
+        gates.append(_gate(name, n, 0, exact, m4[:, col]))
     return gates
 
 
@@ -316,11 +346,9 @@ def concentration_probe(n: int, trials: int, deviations=None, seed=0) -> Concent
     d = coloring_spectrum(n)
     f1 = np.empty(trials)
     f2 = np.empty(trials)
-    for t in range(trials):
-        u = _haar(rng, n)
-        chi = (u * d) @ u.conj().T
-        f1[t], sq = trace_pair(chi @ p)
-        f2[t] = r0 - sq
+    for rows, u in _haar_chunks(rng, trials, n):
+        f1[rows], sq = trace_pair(conjugate_diagonal(u, d) @ p)
+        f2[rows] = r0 - sq
     m1 = exact_mean_trace(n, r0)
     m2 = exact_mean_commutator_term(n, r0)
     if deviations is None:

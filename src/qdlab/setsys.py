@@ -18,7 +18,15 @@ from .matcore import OrthogonalProjection, as_projection, matrix_from_json
 MAX_GROUND_SIZE = 4096
 
 
-def _checked_json_size(n: int) -> int:
+def _json_int(value, what: str) -> int:
+    """A JSON integer as it was written: no float, string or bool is coerced."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _checked_json_size(n) -> int:
+    n = _json_int(n, "n")
     if n > MAX_GROUND_SIZE:
         raise ValidationError(f"n = {n} exceeds the largest supported size {MAX_GROUND_SIZE}")
     return n
@@ -60,11 +68,11 @@ class SetSystem:
     @staticmethod
     def from_json(data: dict) -> "SetSystem":
         try:
-            n = int(data["n"])
-            sets = tuple(tuple(int(i) for i in s) for s in data["sets"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n = _checked_json_size(data["n"])
+            sets = tuple(tuple(_json_int(i, "a set element") for i in s) for s in data["sets"])
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed set-system JSON: {exc}") from exc
-        return SetSystem(_checked_json_size(n), sets)
+        return SetSystem(n, sets)
 
 
 @dataclass(frozen=True)
@@ -98,10 +106,10 @@ class ProjectionSystem:
         """Parse {"n": N, "projections": [matrix, ...]}, each matrix in the
         [re, im] pair format of matrix_from_json."""
         try:
-            n, raw = int(data["n"]), list(data["projections"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            n, raw = _checked_json_size(data["n"]), list(data["projections"])
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed projection-system JSON: {exc}") from exc
-        return ProjectionSystem(_checked_json_size(n), tuple(as_projection(matrix_from_json(p)) for p in raw))
+        return ProjectionSystem(n, tuple(as_projection(matrix_from_json(p)) for p in raw))
 
 
 @dataclass(frozen=True)
@@ -122,9 +130,6 @@ class Coloring:
     @property
     def ground_size(self) -> int:
         return self.signs.size
-
-    def as_diagonal_matrix(self) -> np.ndarray:
-        return np.diag(self.signs.astype(np.complex128))
 
 
 def arithmetic_progressions(n: int) -> SetSystem:
@@ -176,14 +181,12 @@ def evaluate_coloring(system: SetSystem, coloring: Coloring) -> list[int]:
         raise DimMismatch(
             f"coloring of length {coloring.ground_size} on a ground set of size {system.ground_size}"
         )
-    signs = coloring.signs
-    return [int(sum(signs[i - 1] for i in s)) for s in system.sets]
+    return [int(v) for v in incidence_matrix(system) @ coloring.signs]
 
 
 def incidence_matrix(system: SetSystem) -> np.ndarray:
     """The M x N 0/1 matrix with A[i, j] = 1 iff j is in the i-th set."""
     a = np.zeros((system.num_sets, system.ground_size), dtype=int)
     for row, s in enumerate(system.sets):
-        for i in s:
-            a[row, i - 1] = 1
+        a[row, np.array(s, dtype=int) - 1] = 1
     return a

@@ -14,7 +14,7 @@ from qdlab import (
     Coloring,
     bernstein_tail,
     concentration_probe,
-    delta_threshold,
+    delta_event_count,
     disc_exact,
     evaluate_coloring,
     exact_distribution,
@@ -37,10 +37,9 @@ from qdlab import (
     trivial_bound_check,
     validate_kernel,
 )
-from qdlab.cli import main
-from qdlab.matcore import as_coloring
-from qdlab.qdisc import _objective_values
-from qdlab.randmat import moment_gates
+from qdlab.cli import _binomial_ci, main
+from qdlab.matcore import as_coloring, conjugate_diagonal
+from qdlab.randmat import coloring_spectrum, haar_batch, moment_gates
 
 from conftest import brute_force_imbalance, random_unit_vector
 
@@ -257,24 +256,12 @@ def test_criterion_11_delta_event_trend():
     c_hat = probe.c_hat
     lines = []
     ok = True
-    from qdlab.randmat import _haar, coloring_spectrum
-
     d = coloring_spectrum(n)
     for m in (4, 64, 1024):
         system = random_projection_system(n, m, (SEED, 22, m))
-        stacked = system.stacked()
-        ranks = system.ranks().astype(float)
-        deltas = np.array([delta_threshold(n, int(r), m, c_hat) for r in system.ranks()])
-        rng = np.random.default_rng((SEED, 23, m))
-        hits = 0
-        for _ in range(trials):
-            u = _haar(rng, n)
-            chi = (u * d) @ u.conj().T
-            hits += bool((_objective_values(chi, stacked, ranks) <= deltas).all())
-        from scipy.stats import beta
-
-        lo = beta.ppf(0.025, hits, trials - hits + 1) if hits else 0.0
-        hi = beta.ppf(0.975, hits + 1, trials - hits) if hits < trials else 1.0
+        u = haar_batch(np.random.default_rng((SEED, 23, m)), trials, n)
+        hits = delta_event_count(system, conjugate_diagonal(u, d), c_hat)
+        lo, hi = _binomial_ci(hits, trials)
         ok &= hits / trials >= 0.5
         lines.append(f"M={m}: frac={hits / trials:.3f} CI=[{lo:.3f},{hi:.3f}]")
     elapsed = time.perf_counter() - start

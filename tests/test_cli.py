@@ -224,6 +224,11 @@ class TestMalformedInput:
             (["dpp", "sample", "--seed", "1", "--kernel"], [[1, 2], [3, 4]]),
             (["qdisc", "--seed", "1", "--input"], {"n": 1000000000000, "sets": [[1]]}),
             (["disc", "--heuristic", "--seed", "1", "--input"], {"n": 1000000000000, "sets": [[1]]}),
+            (["disc", "--input"], {"n": 3.9, "sets": [[1, 2.7], [True, 3]]}),
+            (["disc", "--input"], {"n": 3, "sets": [[1, 2.7]]}),
+            (["disc", "--input"], {"n": 3, "sets": [[True, 3]]}),
+            (["qdisc", "--seed", "1", "--input"], {"n": 1.0, "projections": [[[[1, 0]]]]}),
+            (["dpp", "sample", "--seed", "1", "--kernel"], [[[0.5, 1e308]]]),
         ],
     )
     def test_exit_code_and_message(self, tmp_path, capsys, argv, doc):
@@ -239,6 +244,8 @@ class TestMalformedInput:
 # Ints are small or far out of range: a valid mid-size n (say 3000) is a legal
 # input whose qdisc run takes hours, which says nothing about the input boundary.
 _json_ints = st.integers(-3, 12) | st.sampled_from([-(10**12), 2**31, 2**63, 10**12, 10**400])
+# What an integer field may hold instead: bools, floats with and without a fraction.
+_json_near_ints = _json_ints | st.booleans() | st.sampled_from([1.0, 2.7, 3.9, -0.5])
 _json_scalars = (
     st.none() | st.booleans() | _json_ints | st.floats(-1e3, 1e3) | st.text(max_size=3)
     | st.sampled_from([float("inf"), float("nan"), 1e308])
@@ -251,14 +258,14 @@ _json_values = st.recursive(
 )
 # Near-valid shapes (set and projection documents, matrices of [re, im]
 # pairs) sit next to arbitrary ones, so inputs reach the checks past parsing.
-_index_lists = st.lists(st.lists(_json_ints, max_size=3), max_size=3)
+_index_lists = st.lists(st.lists(_json_near_ints, max_size=3), max_size=3)
 _pair_matrices = st.lists(st.lists(st.lists(_json_scalars, max_size=3), max_size=3), max_size=3)
 _json_docs = st.one_of(
     _json_values,
     _pair_matrices,
-    st.fixed_dictionaries({"n": _json_ints | _json_values, "sets": _index_lists | _json_values}),
+    st.fixed_dictionaries({"n": _json_near_ints | _json_values, "sets": _index_lists | _json_values}),
     st.fixed_dictionaries(
-        {"n": _json_ints | _json_values, "projections": st.lists(_pair_matrices, max_size=2) | _json_values}
+        {"n": _json_near_ints | _json_values, "projections": st.lists(_pair_matrices, max_size=2) | _json_values}
     ),
     st.dictionaries(st.sampled_from(["n", "sets", "projections", "x"]), _json_values, max_size=3),
 )

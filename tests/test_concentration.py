@@ -109,6 +109,11 @@ class TestLowerBoundConstants:
         for alpha in np.geomspace(0.01, 1000.0, 30):
             assert lower_bound_constants(float(alpha)).margin > 0
 
+    def test_margin_is_three_fortieths_for_every_alpha(self):
+        # zeta^2 (1 + alpha) = 1/40, so 1/5 - 1/40 - 2/20 does not depend on alpha
+        for alpha in (0.01, 0.5, 1.0, 7.0, 1000.0):
+            assert lower_bound_constants(alpha).margin == pytest.approx(0.075, abs=1e-15)
+
     def test_bad_alpha(self):
         with pytest.raises(ValidationError):
             lower_bound_constants(0.0)

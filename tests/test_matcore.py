@@ -42,6 +42,17 @@ class TestMakeHermitian:
         with pytest.raises(TooFarFromHermitian):
             make_hermitian([[0.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "raw", [[[0.5 + 1e308j]], [[0.0, 1e308], [-1e308, 0.0]], [[1e308, 1.7e308 + 1.7e308j], [0.0, 1e308]]]
+    )
+    def test_far_from_hermitian_rejected_near_float_max(self, raw):
+        with pytest.raises(TooFarFromHermitian):
+            make_hermitian(raw)
+
+    def test_subnormal_matrix_kept(self):
+        a = np.array([[1e-310, 2e-310], [2e-310, 5e-311 + 0j]])
+        assert np.array_equal(make_hermitian(a).array, a)
+
     def test_non_square(self):
         with pytest.raises(NonSquare):
             make_hermitian(np.zeros((2, 3)))
@@ -213,6 +224,12 @@ class TestMatrixJson:
     def test_malformed_is_validation_error(self, data):
         with pytest.raises(ValidationError):
             matrix_from_json(data)
+
+    # finite entries parse; the anti-Hermitian part is what is refused
+    @pytest.mark.parametrize("data", [[[[0.5, 1e308]]], [[[0, 1e308], [0, 0]], [[0, 0], [0, 0]]]])
+    def test_parsed_non_hermitian_is_rejected(self, data):
+        with pytest.raises(TooFarFromHermitian):
+            make_hermitian(matrix_from_json(data))
 
 
 class TestTracePair:

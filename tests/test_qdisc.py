@@ -10,6 +10,7 @@ from qdlab import (
     as_coloring,
     as_projection,
     check_delta_event,
+    delta_event_count,
     delta_p,
     delta_threshold,
     disc_exact,
@@ -213,6 +214,23 @@ class TestDeltaEvent:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             check_delta_event(random_projection_system(4, 2, 0), random_quantum_coloring(6, 0), 1.0)
+
+    def test_count_matches_per_coloring_checks(self):
+        # every third coloring is +-I, whose objective r = 3 exceeds Delta_P once c is large
+        system = random_projection_system(6, 8, 40)
+        colorings = [
+            random_quantum_coloring(6, (41, t)) if t % 3 else as_coloring((-1) ** t * np.eye(6))
+            for t in range(30)
+        ]
+        stack = np.stack([chi.array for chi in colorings])
+        for c, hits in ((0.05, 30), (1e4, 20)):
+            assert sum(check_delta_event(system, chi, c).all_satisfied for chi in colorings) == hits
+            assert delta_event_count(system, stack, c) == hits
+            assert delta_event_count(system, iter(stack), c) == hits
+
+    def test_count_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            delta_event_count(random_projection_system(4, 2, 0), np.zeros((3, 6, 6)), 1.0)
 
 
 class TestLipschitz:

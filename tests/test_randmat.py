@@ -17,7 +17,68 @@ from qdlab import (
     random_quantum_coloring,
 )
 from qdlab.errors import DegenerateDim, ValidationError
-from qdlab.randmat import moment_gates
+from qdlab import randmat
+from qdlab.randmat import BATCH_ENTRIES, _gate, coloring_spectrum, haar_batch, moment_gates
+
+
+def reference_haar(rng, n):
+    """One Haar unitary drawn on its own: QR of a complex Ginibre matrix,
+    real parts drawn before imaginary parts, with R's diagonal phases moved
+    into Q."""
+    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def reference_gate_inputs(n, trials, seed, all_ranks):
+    """The (name, n, param, exact, samples) arguments of every gate of
+    moment_gates, with the samples computed one trial at a time: the oracle
+    of its batched statistics."""
+    rng = np.random.default_rng(seed)
+    d = coloring_spectrum(n)
+    r0 = n // 2
+    ranks = list(range(n + 1)) if all_ranks else [r0]
+    fixed_ks = list(range(n + 1)) if all_ranks else [r0] + ([r0 + 1] if n >= 3 else [])
+    t1 = np.empty((trials, len(ranks)))
+    t2 = np.empty((trials, len(ranks)))
+    eq18 = np.empty((trials, len(fixed_ks)))
+    m4 = np.empty((trials, 4))
+    for t in range(trials):
+        u = reference_haar(rng, n)
+        chi = (u * d) @ u.conj().T
+        diag_cum = np.concatenate(([0.0], np.cumsum(chi.diagonal().real)))
+        corner = np.zeros((n + 1, n + 1))
+        corner[1:, 1:] = (np.abs(chi) ** 2).cumsum(axis=0).cumsum(axis=1)
+        for col, r in enumerate(ranks):
+            t1[t, col] = diag_cum[r]
+            t2[t, col] = corner[r, r]
+        proj = u[:, :r0] @ u[:, :r0].conj().T
+        pcorner = np.zeros((n + 1, n + 1))
+        pcorner[1:, 1:] = (np.abs(proj) ** 2).cumsum(axis=0).cumsum(axis=1)
+        for col, k in enumerate(fixed_ks):
+            plus = pcorner[k, k]
+            cross = pcorner[k, n] - pcorner[k, k]
+            minus = pcorner[n, n] - plus - 2 * cross
+            eq18[t, col] = plus + minus - 2 * cross
+        m4[t, 0] = np.abs(u[0, 0]) ** 4
+        m4[t, 1] = (np.abs(u[0, 0]) * np.abs(u[0, 1])) ** 2
+        m4[t, 2] = (np.abs(u[0, 0]) * np.abs(u[1, 1])) ** 2
+        m4[t, 3] = (u[0, 0] * u[1, 1] * np.conj(u[1, 0]) * np.conj(u[0, 1])).real
+    inputs = []
+    for col, r in enumerate(ranks):
+        inputs.append(("mean_trace", n, r, exact_mean_trace(n, r), t1[:, col]))
+        inputs.append(("mean_trace_sq", n, r, exact_mean_trace_sq(n, r), t2[:, col]))
+    second = exact_variance_trace(n, r0) + exact_mean_trace(n, r0) ** 2
+    inputs.append(("trace_second_moment", n, r0, second, t1[:, ranks.index(r0)] ** 2))
+    for col, k in enumerate(fixed_ks):
+        inputs.append(("mean_trace_sq_fixed", n, k, exact_mean_trace_sq_fixed_coloring(n, 2 * k - n), eq18[:, col]))
+    fm = haar_fourth_moments(n)
+    inputs.append(("abs_fourth", n, 0, fm.abs_fourth, m4[:, 0]))
+    inputs.append(("abs_shared_index", n, 0, fm.abs_shared_index, m4[:, 1]))
+    inputs.append(("abs_distinct", n, 0, fm.abs_distinct, m4[:, 2]))
+    inputs.append(("cross", n, 0, fm.cross, m4[:, 3]))
+    return inputs
 
 
 class TestHaarUnitary:
@@ -34,10 +95,7 @@ class TestHaarUnitary:
 
     def test_first_entry_second_moment(self):
         n, trials = 4, 20_000
-        rng = np.random.default_rng(3)
-        vals = np.empty(trials)
-        for t in range(trials):
-            vals[t] = abs(haar_unitary(n, rng)[0, 0]) ** 2
+        vals = np.abs(haar_batch(np.random.default_rng(3), trials, n)[:, 0, 0]) ** 2
         se = vals.std(ddof=1) / math.sqrt(trials)
         assert abs(vals.mean() - 1.0 / n) <= 4 * se
 
@@ -45,12 +103,22 @@ class TestHaarUnitary:
         # E|(VU)_00|^2 is also 1/N for fixed unitary V
         n, trials = 3, 20_000
         v = haar_unitary(n, 123)
-        rng = np.random.default_rng(4)
-        vals = np.empty(trials)
-        for t in range(trials):
-            vals[t] = abs((v @ haar_unitary(n, rng))[0, 0]) ** 2
+        vals = np.abs((v @ haar_batch(np.random.default_rng(4), trials, n))[:, 0, 0]) ** 2
         se = vals.std(ddof=1) / math.sqrt(trials)
         assert abs(vals.mean() - 1.0 / n) <= 4 * se
+
+
+class TestHaarBatch:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32])
+    def test_equals_single_draws_and_leaves_the_same_state(self, n):
+        batched, single = np.random.default_rng((9, n)), np.random.default_rng((9, n))
+        stack = haar_batch(batched, 7, n)
+        assert stack.shape == (7, n, n)
+        assert np.array_equal(stack, np.stack([reference_haar(single, n) for _ in range(7)]))
+        assert batched.bit_generator.state == single.bit_generator.state
+
+    def test_single_draw_functions_take_one_slice(self):
+        assert np.array_equal(haar_unitary(4, 11), haar_batch(np.random.default_rng(11), 1, 4)[0])
 
 
 class TestRandomColoring:
@@ -78,8 +146,8 @@ class TestRandomProjection:
 
     def test_mean_diagonal_entry(self):
         n, trials = 5, 5_000
-        rng = np.random.default_rng(6)
-        vals = np.array([random_projection(n, rng).array[0, 0].real for _ in range(trials)])
+        frame = haar_batch(np.random.default_rng(6), trials, n)[:, :, : n // 2]
+        vals = (frame @ frame.conj().swapaxes(1, 2))[:, 0, 0].real
         se = vals.std(ddof=1) / math.sqrt(trials)
         assert abs(vals.mean() - (n // 2) / n) <= 4 * se
 
@@ -143,6 +211,20 @@ class TestMomentGates:
     def test_gates_pass_at_modest_trials(self, n):
         gates = moment_gates(n, 20_000, (5, n))
         assert all(g.passes(4.0) for g in gates)
+
+    @pytest.mark.parametrize(("n", "all_ranks"), [(8, True), (8, False), (3, True)])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunks_equal_per_trial_oracle(self, monkeypatch, n, all_ranks, offset):
+        trials = BATCH_ENTRIES // (n * n) + offset
+        seed = (12, n, offset + 1)
+        fed = []  # the arguments moment_gates passes to each gate, samples included
+        monkeypatch.setattr(randmat, "_gate", lambda *args: fed.append(args) or _gate(*args))
+        gates = moment_gates(n, trials, seed, all_ranks)
+        expected = reference_gate_inputs(n, trials, seed, all_ranks)
+        assert [args[:4] for args in fed] == [args[:4] for args in expected]
+        for args, oracle in zip(fed, expected):
+            assert np.array_equal(args[4], oracle[4]), args[0]
+        assert gates == [_gate(*args) for args in expected]
 
     def test_variance_by_monte_carlo(self):
         for n in (4, 5):

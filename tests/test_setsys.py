@@ -171,3 +171,24 @@ class TestSetSystemValidation:
             SetSystem.from_json({"n": MAX_GROUND_SIZE + 1, "sets": [[1]]})
         with pytest.raises(ValidationError, match="exceeds"):
             ProjectionSystem.from_json({"n": MAX_GROUND_SIZE + 1, "projections": [[[[1, 0]]]]})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3.9, "sets": [[1]]},
+            {"n": 3.0, "sets": [[1]]},
+            {"n": True, "sets": [[1]]},
+            {"n": "3", "sets": [[1]]},
+            {"n": 3, "sets": [[1, 2.7]]},
+            {"n": 3, "sets": [[1, 2.0]]},
+            {"n": 3, "sets": [[True, 3]]},
+        ],
+    )
+    def test_json_needs_exact_integers(self, doc):
+        with pytest.raises(ValidationError, match="JSON integer"):
+            SetSystem.from_json(doc)
+
+    @pytest.mark.parametrize("n", [1.0, False, "1"])
+    def test_projection_json_needs_integer_n(self, n):
+        with pytest.raises(ValidationError, match="JSON integer"):
+            ProjectionSystem.from_json({"n": n, "projections": [[[[1, 0]]]]})
