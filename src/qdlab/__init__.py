@@ -27,6 +27,7 @@ from .dpp import (
     restrict_kernel,
     sample,
     sample_many,
+    sample_masks,
     size_pmf,
     validate_kernel,
 )

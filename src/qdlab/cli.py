@@ -208,21 +208,63 @@ _SCHEMAS: dict[str, dict[str, Option]] = {
 _ALWAYS_STOCHASTIC = {"qdisc", "ubound", "lbound", "dpp", "compare", "haar"}
 
 
+def _value_type(opt: Option) -> type:
+    """The type of one value of an option: bool for a switch, else `type`,
+    else the type of the default (of its first element for a list), else str."""
+    if opt.default is False:
+        return bool
+    sample = opt.default[0] if isinstance(opt.default, list) else opt.default
+    return opt.type or (str if sample is None else type(sample))
+
+
+def _is_value(opt: Option, v) -> bool:
+    """Whether a parsed JSON value is one its flag could give: exact ints
+    (never bools) for int options, ints or floats that fit a float for float
+    options, and a choice where choices are set."""
+    want = _value_type(opt)
+    if want is float:
+        ok = type(v) is float or (type(v) is int and abs(v) <= sys.float_info.max)
+    else:
+        ok = type(v) is want
+    return ok and (opt.choices is None or v in opt.choices)
+
+
+def _check_config_value(key: str, opt: Option, value) -> None:
+    """Refuse a config-file value that the option's flag could not give."""
+    if value is None and opt.default is None:
+        return
+    listed = isinstance(opt.default, list)
+    values = value if listed and isinstance(value, list) else [value]
+    if listed != isinstance(value, list) or not values or not all(_is_value(opt, v) for v in values):
+        shape = "a non-empty list of " if listed else ""
+        choices = "" if opt.choices is None else f" in {list(opt.choices)}"
+        raise ValidationError(
+            f"config key {key!r}: {json.dumps(value)} is not {shape}{_value_type(opt).__name__}{choices}"
+        )
+
+
 def build_config(subcommand: str, args: argparse.Namespace) -> dict:
-    cfg = {key: opt.default for key, opt in {**_SCHEMAS[subcommand], **_COMMON}.items()}
+    options = {**_SCHEMAS[subcommand], **_COMMON}
+    cfg = {key: opt.default for key, opt in options.items()}
     if getattr(args, "config", None):
         try:
             data = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
         unknown = set(data) - set(cfg)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            _check_config_value(key, options[key], value)
         cfg.update(data)
     for key in cfg:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    if cfg["seed"] is not None and cfg["seed"] < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {cfg['seed']}")
     stochastic = subcommand in _ALWAYS_STOCHASTIC or (
         subcommand == "disc" and (cfg["heuristic"] or cfg["random_n"] is not None)
     )
@@ -419,6 +461,8 @@ def _resolve_kernel(cfg: dict, child: np.random.SeedSequence):
         return validate_kernel(matrix_from_json(data))
     kind = cfg["kind"]
     n = int(cfg["n"])
+    if n < 1:
+        raise ValidationError(f"need n >= 1, got {n}")
     if kind == "uniform":
         return validate_kernel(0.5 * np.eye(n))
     if kind == "random":
@@ -566,8 +610,7 @@ def _add_option(parser: argparse.ArgumentParser, key: str, opt: Option) -> None:
     if opt.default is False:
         kwargs.update(action="store_true", default=None)
     else:
-        sample = opt.default[0] if isinstance(opt.default, list) else opt.default
-        kwargs["type"] = opt.type or (None if sample is None else type(sample))
+        kwargs["type"] = _value_type(opt)
         if isinstance(opt.default, list):
             kwargs["nargs"] = "+"
     parser.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
@@ -603,6 +646,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValidationError as exc:
+        print(f"validation failure: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     start = time.perf_counter()
     try:
         report = _COMMANDS[args.subcommand][0](cfg)

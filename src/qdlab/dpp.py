@@ -21,7 +21,7 @@ from .errors import (
     SpectrumOutOfRange,
     ValidationError,
 )
-from .matcore import HermitianMatrix, make_hermitian, seed_sequence, trace_pair
+from .matcore import BATCH_ENTRIES, HermitianMatrix, make_hermitian, seed_sequence, trace_pair
 
 SPECTRUM_TOL = 1e-10
 # Eigenvalues this close to 0 or 1 are snapped exactly, so projection kernels
@@ -54,7 +54,8 @@ class DPPKernel:
 
     def __init__(self, matrix: HermitianMatrix):
         lam, vecs = np.linalg.eigh(matrix.array)
-        bad = (lam < -SPECTRUM_TOL) | (lam > 1.0 + SPECTRUM_TOL)
+        # written so that a NaN eigenvalue (of a matrix that overflowed) fails
+        bad = ~((lam >= -SPECTRUM_TOL) & (lam <= 1.0 + SPECTRUM_TOL))
         if bad.any():
             worst = lam[np.abs(lam - 0.5).argmax()]
             raise SpectrumOutOfRange(float(worst))
@@ -109,57 +110,141 @@ def joint_intensity(kernel: DPPKernel, subset) -> float:
 
 def sample(kernel: DPPKernel, seed) -> ProcessSample:
     """Draw one exact sample via the two-phase spectral algorithm."""
-    return _sample_with(kernel, np.random.default_rng(seed))
-
-
-def _sample_with(kernel: DPPKernel, rng: np.random.Generator) -> ProcessSample:
-    n = kernel.dim
-    lam = kernel.eigenvalues
-    # Phase 1: keep eigenvector i independently with probability lambda_i.
-    mask = rng.random(n) < lam
-    k = int(np.count_nonzero(mask))
-    if k == 0:
-        return ProcessSample(())
-    v = kernel.eigenvectors[:, mask]
-    # Phase 2: sample the projection process with kernel Q = V V* point by
-    # point. Conditioning on a chosen point s replaces Q by its Schur
-    # complement Q - q q*/Q_ss (q the s-th column), which is exactly the
-    # projection onto the Gram-Schmidt downdated frame {u in range Q: u_s=0}.
-    q = v @ v.conj().T
-    chosen: list[int] = []
-    uniforms = rng.random(k)
-    for step in range(k):
-        weights = np.clip(q.diagonal().real.copy(), 0.0, None)
-        for s in chosen:
-            weights[s] = 0.0
-        total = weights.sum()
-        if total < _BREAKDOWN_TOL:
-            raise NumericalBreakdown(
-                f"residual projection mass {total:.3e} with {k - step} points left to place"
-            )
-        cum = np.cumsum(weights)
-        s = int(np.searchsorted(cum, uniforms[step] * total, side="right"))
-        s = min(s, n - 1)
-        pivot = q[s, s].real
-        if pivot < _BREAKDOWN_TOL:
-            raise NumericalBreakdown(f"conditioning pivot {pivot:.3e} at step {step}")
-        chosen.append(s)
-        col = q[:, s].copy()
-        q = q - np.outer(col, col.conj()) / pivot
-    return ProcessSample(tuple(sorted(p + 1 for p in chosen)))
+    return sample_many(kernel, 1, seed)[0]
 
 
 def sample_many(kernel: DPPKernel, trials: int, seed, spawn: bool = False) -> list[ProcessSample]:
-    """Draw `trials` samples. With spawn=False a single sequential stream is
-    used; spawn=True derives an independent child stream per trial index,
-    which is what a concurrent driver should use."""
+    """The draws of `sample_masks` as ProcessSamples."""
+    points = np.arange(1, kernel.dim + 1)
+    return [ProcessSample(tuple(points[row].tolist())) for row in sample_masks(kernel, trials, seed, spawn)]
+
+
+def sample_masks(kernel: DPPKernel, trials: int, seed, spawn: bool = False) -> np.ndarray:
+    """Draw `trials` exact samples as a (trials, N) bool array whose row t
+    marks the points of draw t.
+
+    Each draw reads N phase-1 uniforms, one per eigenvector, then one phase-2
+    uniform per kept eigenvector. With spawn=False every draw reads the next
+    uniforms of the single stream `default_rng(seed)` (which reads ahead in
+    blocks, so a Generator passed as `seed` ends past the last draw);
+    spawn=True derives an independent child stream per trial index, which is
+    what a concurrent driver should use. The draws run in stacks of
+    BATCH_ENTRIES matrix entries, and each equals the draw made alone from
+    the same uniforms.
+    """
     if trials < 1:
         raise ValidationError("need trials >= 1")
-    if spawn:
-        children = seed_sequence(seed).spawn(trials)
-        return [_sample_with(kernel, np.random.default_rng(c)) for c in children]
+    n = kernel.dim
+    chunk = max(1, BATCH_ENTRIES // (n * n))
+    uniforms = _spawned_uniforms if spawn else _stream_uniforms
+    out = np.empty((trials, n), dtype=bool)
+    projections: dict[bytes, np.ndarray] = {}
+    lo = 0
+    for u in uniforms(kernel.eigenvalues, trials, seed, chunk):
+        out[lo : lo + len(u)] = _place_points(kernel, u, projections)
+        lo += len(u)
+        # keeps the cache near one stack in size
+        if len(projections) > chunk:
+            projections.clear()
+    return out
+
+
+def _spawned_uniforms(lam: np.ndarray, trials: int, seed, chunk: int):
+    """Uniform rows of `chunk` draws at a time, row t read from the t-th
+    child stream of `seed`. A row holds 2N values, of which a draw that keeps
+    k eigenvectors reads the first N + k."""
+    n = lam.size
+    children = seed_sequence(seed).spawn(trials)
+    for lo in range(0, trials, chunk):
+        yield np.array([np.random.default_rng(c).random(2 * n) for c in children[lo : lo + chunk]])
+
+
+def _stream_uniforms(lam: np.ndarray, trials: int, seed, chunk: int):
+    """Uniform rows of `chunk` draws at a time, cut from one stream: a draw
+    that keeps k eigenvectors reads N + k values, so the next draw starts
+    there. Rows hold 2N values, as in `_spawned_uniforms`."""
+    n = lam.size
     rng = np.random.default_rng(seed)
-    return [_sample_with(kernel, rng) for _ in range(trials)]
+    buf = np.empty(0)
+    for lo in range(0, trials, chunk):
+        m = min(chunk, trials - lo)
+        # m draws read at most 2N m values, so every row below lies in buf
+        buf = np.concatenate([buf, rng.random(max(0, 2 * n * m - buf.size))])
+        windows = np.lib.stride_tricks.sliding_window_view(buf, 2 * n)
+        kept = np.count_nonzero(windows[:, :n] < lam, axis=1).tolist()
+        starts = []
+        pos = 0
+        for _ in range(m):
+            starts.append(pos)
+            pos += n + kept[pos]
+        yield windows[starts]
+        buf = buf[pos:]
+
+
+def _place_points(kernel: DPPKernel, u: np.ndarray, projections: dict) -> np.ndarray:
+    """The draws of the uniform rows `u` as a (rows, N) bool array.
+
+    Phase 1 keeps eigenvector i of a draw iff u_i < lambda_i. Phase 2 samples
+    the projection process with kernel Q = V V* of the kept vectors point by
+    point: it picks s with probability Q_ss / tr Q, then replaces Q by its
+    Schur complement Q - q q*/Q_ss (q the s-th column), which is exactly the
+    projection onto the Gram-Schmidt downdated frame {u in range Q: u_s = 0}.
+    The draws run side by side, sorted by the number k of points to place,
+    so the draws still placing points at any step form a prefix of the
+    stack. Every draw sees the same floating-point operations, in the same
+    order, as it would alone; `projections` caches Q by phase-1 mask.
+    """
+    n = kernel.dim
+    keep = u[:, :n] < kernel.eigenvalues
+    sizes = np.count_nonzero(keep, axis=1)
+    order = np.argsort(-sizes, kind="stable")
+    order = order[sizes[order] > 0]
+    out = np.zeros_like(keep)
+    if not len(order):
+        return out
+    slots: dict[bytes, int] = {}
+    stack, which = [], []
+    for mask in keep[order]:
+        key = mask.tobytes()
+        if key not in slots:
+            if key not in projections:
+                v = kernel.eigenvectors[:, mask]
+                projections[key] = v @ v.conj().T
+            slots[key] = len(stack)
+            stack.append(projections[key])
+        which.append(slots[key])
+    q = np.stack(stack)[which]
+    outer = np.empty_like(q)
+    placed = np.zeros((len(order), n), dtype=bool)
+    k = sizes[order]
+    phase2 = u[order, n:]
+    # draws still placing points at each step: the count of k > step
+    active = np.searchsorted(-k, -np.arange(k[0]), side="left").tolist()
+    for step, a in enumerate(active):
+        qa, oa, rows = q[:a], outer[:a], np.arange(a)
+        weights = np.clip(np.diagonal(qa, axis1=1, axis2=2).real, 0.0, None)
+        weights[placed[:a]] = 0.0
+        total = weights.sum(axis=1)
+        if (total < _BREAKDOWN_TOL).any():
+            t = int(np.argmax(total < _BREAKDOWN_TOL))
+            raise NumericalBreakdown(
+                f"residual projection mass {total[t]:.3e} with {k[t] - step} points left to place"
+            )
+        # the first index whose running weight exceeds the target, as in
+        # searchsorted(cum, target, side="right") on one draw
+        cum = np.cumsum(weights, axis=1)
+        s = np.minimum(np.count_nonzero(cum <= (phase2[:a, step] * total)[:, None], axis=1), n - 1)
+        pivot = qa[rows, s, s].real
+        if (pivot < _BREAKDOWN_TOL).any():
+            raise NumericalBreakdown(f"conditioning pivot {pivot.min():.3e} at step {step}")
+        placed[rows, s] = True
+        col = qa[rows, :, s]
+        np.multiply(col[:, :, None], col.conj()[:, None, :], out=oa)
+        # one draw divides by the pivot cast to complex: cast it once here
+        np.divide(oa, pivot.astype(np.complex128)[:, None, None], out=oa)
+        np.subtract(qa, oa, out=qa)
+    out[order] = placed
+    return out
 
 
 def restrict_kernel(kernel: DPPKernel, subset) -> DPPKernel:

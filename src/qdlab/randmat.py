@@ -18,14 +18,10 @@ import numpy as np
 from .dpp import DPPKernel, validate_kernel
 from .errors import DegenerateDim, ValidationError
 from .matcore import (
-    OrthogonalProjection, QuantumColoring, conjugate_diagonal, make_hermitian, seed_sequence, trace_pair
+    BATCH_ENTRIES, OrthogonalProjection, QuantumColoring, conjugate_diagonal, make_hermitian, seed_sequence,
+    trace_pair,
 )
 from .setsys import ProjectionSystem
-
-
-# Monte Carlo loops draw unitaries in chunks of this many matrix entries (1024
-# trials at N = 4, 16 at N = 32): a quarter megabyte per complex array at any N.
-BATCH_ENTRIES = 1 << 14
 
 
 def haar_batch(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:

@@ -48,6 +48,45 @@ class TestConfigHandling:
     def test_trials_zero_rejected(self):
         assert main(["haar", "--trials", "0", "--seed", "1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["dpp", "sample", "--seed", "1"], '{"trials": "x"}'),
+            (["dpp", "sample", "--seed", "1"], '{"n": 1e400}'),
+            (["dpp", "sample", "--seed", "1"], '{"trials": 2.5}'),
+            (["dpp", "sample", "--seed", "1"], '{"n": true}'),
+            (["dpp", "sample", "--seed", "1"], '{"kind": "bogus"}'),
+            (["dpp", "sample", "--seed", "1"], '{"tv_gate": "0.1"}'),
+            (["haar", "--seed", "1"], '{"n_grid": 3}'),
+            (["haar", "--seed", "1"], '{"n_grid": []}'),
+            (["haar", "--seed", "1"], '{"n_grid": [2, 3.0]}'),
+            (["disc", "--ap", "4"], '{"heuristic": 1}'),
+            (["dpp", "sample"], '{"seed": -1}'),
+            (["dpp", "sample"], '{"seed": 1.0}'),
+        ],
+    )
+    def test_config_values_checked_against_options(self, tmp_path, capsys, argv, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _ = run(tmp_path, "r.csv", *argv, "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "validation failure: config key" in err or "seed must be" in err
+        assert "Traceback" not in err
+
+    def test_config_ints_accepted_for_float_options(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"z_gate": 4, "n_grid": [2], "trials": 200, "seed": 3}))
+        code1, text1 = run(tmp_path, "a.csv", "haar", "--config", str(cfg))
+        code2, text2 = run(tmp_path, "b.csv", "haar", "--n-grid", "2", "--trials", "200", "--seed", "3")
+        assert code1 == code2 == 0
+        assert text1.splitlines()[2:] == text2.splitlines()[2:]
+
+    def test_negative_seed_or_dimension_rejected(self):
+        assert main(["dpp", "sample", "--seed", "-1", "--trials", "2"]) == EXIT_VALIDATION
+        for kind in ("uniform", "random"):
+            assert main(["dpp", "sample", "--seed", "1", "--kind", kind, "--n", "-3"]) == EXIT_VALIDATION
+
 
 class TestDisc:
     def test_matches_library(self, tmp_path):
@@ -229,6 +268,8 @@ class TestMalformedInput:
             (["disc", "--input"], {"n": 3, "sets": [[True, 3]]}),
             (["qdisc", "--seed", "1", "--input"], {"n": 1.0, "projections": [[[[1, 0]]]]}),
             (["dpp", "sample", "--seed", "1", "--kernel"], [[[0.5, 1e308]]]),
+            (["dpp", "sample", "--seed", "1", "--trials", "3", "--kernel"],
+             [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]),
         ],
     )
     def test_exit_code_and_message(self, tmp_path, capsys, argv, doc):
@@ -271,6 +312,23 @@ _json_docs = st.one_of(
 )
 
 
+# Config values: ints stay small, since a huge n or trials is a legal value
+# whose run takes hours or more memory than the machine has, which says
+# nothing about the type checks.
+_config_scalars = (
+    st.none() | st.booleans() | st.integers(-3, 12) | st.sampled_from([1.0, 2.5, -0.5, float("inf"), float("nan")])
+    | st.text(max_size=3) | st.sampled_from(["csv", "json", "random", "uniform", "projection"])
+)
+_config_values = (
+    _config_scalars | st.lists(_config_scalars, max_size=3)
+    | st.dictionaries(st.text(max_size=2), _config_scalars, max_size=2)
+)
+
+
+def _config_docs(keys):
+    return st.fixed_dictionaries({"seed": _config_values}, optional={k: _config_values for k in keys}) | _config_values
+
+
 class TestFuzzedInput:
     @pytest.mark.parametrize(
         "argv",
@@ -292,6 +350,30 @@ class TestFuzzedInput:
             with contextlib.redirect_stderr(err):
                 code = main([*argv, str(path), "--out", str(Path(tmp) / "r.csv")])
         assert code in (0, EXIT_VALIDATION), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    # Flags override file values, so --out keeps reports in the temporary
+    # directory and haar's --z-gate keeps tiny runs from failing their gates;
+    # both file values are still type-checked.
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["dpp", "sample"], ["kernel", "kind", "n", "trials", "tv_gate", "z_gate", "format", "threads", "out"]),
+            (["haar", "--z-gate", "1e300"], ["n_grid", "trials", "z_gate", "format", "threads"]),
+            (["disc"], ["input", "ap", "random_n", "random_m", "heuristic", "trials", "cap", "format"]),
+        ],
+    )
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_config_exits_zero_one_or_two_without_traceback(self, argv, keys, data):
+        doc = data.draw(_config_docs(keys))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "r.csv")])
+        assert code in (0, EXIT_USAGE, EXIT_VALIDATION), err.getvalue()
         assert "Traceback" not in err.getvalue()
 
 

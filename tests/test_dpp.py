@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdlab import (
+    dpp,
     exact_distribution,
     expected_squared_imbalance,
     joint_intensity,
@@ -16,6 +17,7 @@ from qdlab import (
     restrict_kernel,
     sample,
     sample_many,
+    sample_masks,
     size_pmf,
     validate_kernel,
 )
@@ -25,9 +27,51 @@ from qdlab.errors import (
     IndexOutOfRange,
     NumericalBreakdown,
     SpectrumOutOfRange,
+    ValidationError,
 )
+from qdlab.matcore import BATCH_ENTRIES, seed_sequence
 
 from conftest import brute_force_imbalance
+
+
+def reference_draw(kernel, rng):
+    """One draw made on its own, point by point: N phase-1 uniforms, then one
+    phase-2 uniform per kept eigenvector. Returns the sorted points."""
+    n = kernel.dim
+    mask = rng.random(n) < kernel.eigenvalues
+    k = int(np.count_nonzero(mask))
+    if k == 0:
+        return ()
+    v = kernel.eigenvectors[:, mask]
+    q = v @ v.conj().T
+    chosen: list[int] = []
+    uniforms = rng.random(k)
+    for step in range(k):
+        weights = np.clip(q.diagonal().real.copy(), 0.0, None)
+        for s in chosen:
+            weights[s] = 0.0
+        total = weights.sum()
+        cum = np.cumsum(weights)
+        s = int(np.searchsorted(cum, uniforms[step] * total, side="right"))
+        s = min(s, n - 1)
+        pivot = q[s, s].real
+        chosen.append(s)
+        col = q[:, s].copy()
+        q = q - np.outer(col, col.conj()) / pivot
+    return tuple(sorted(p + 1 for p in chosen))
+
+
+def reference_masks(kernel, trials, seed, spawn):
+    """`trials` reference draws as a mask array, read from one stream or from
+    one spawned child stream per draw."""
+    if spawn:
+        rngs = [np.random.default_rng(c) for c in seed_sequence(seed).spawn(trials)]
+    else:
+        rngs = [np.random.default_rng(seed)] * trials
+    masks = np.zeros((trials, kernel.dim), dtype=bool)
+    for t, rng in enumerate(rngs):
+        masks[t, [p - 1 for p in reference_draw(kernel, rng)]] = True
+    return masks
 
 
 class TestValidateKernel:
@@ -125,6 +169,61 @@ class TestSampling:
         with pytest.raises(NumericalBreakdown):
             for seed in range(64):  # phase 1 must select at least one vector
                 sample(k, seed)
+
+
+class TestSampleMasks:
+    @pytest.mark.parametrize("spawn", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
+    def test_equals_reference_draws(self, n, spawn):
+        for i in range(3):
+            k = random_kernel(n, (41, n, i))
+            assert np.array_equal(sample_masks(k, 40, (42, i), spawn), reference_masks(k, 40, (42, i), spawn))
+
+    @pytest.mark.parametrize("spawn", [False, True])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_chunk_edges(self, n, spawn):
+        chunk = BATCH_ENTRIES // n**2
+        k = random_kernel(n, (43, n))
+        for trials in (chunk - 1, chunk, chunk + 1):
+            assert np.array_equal(sample_masks(k, trials, 44, spawn), reference_masks(k, trials, 44, spawn))
+
+    @pytest.mark.parametrize("spawn", [False, True])
+    def test_large_projection(self, spawn):
+        p = random_projection(128, 45)
+        k = validate_kernel(p.array)
+        masks = sample_masks(k, 3, 46, spawn)
+        assert np.array_equal(masks, reference_masks(k, 3, 46, spawn))
+        assert (masks.sum(axis=1) == 64).all()
+
+    @pytest.mark.parametrize("spawn", [False, True])
+    def test_zero_and_identity_kernels(self, spawn):
+        for matrix in (np.zeros((4, 4)), np.eye(4)):
+            k = validate_kernel(matrix)
+            masks = sample_masks(k, 30, 47, spawn)
+            assert np.array_equal(masks, reference_masks(k, 30, 47, spawn))
+            assert (masks == bool(matrix[0, 0])).all()
+
+    def test_sample_and_sample_many_wrap_the_masks(self):
+        k = random_kernel(6, 48)
+        for seed in range(5):
+            assert sample(k, seed).points == reference_draw(k, np.random.default_rng(seed))
+        masks = sample_masks(k, 20, 49, spawn=True)
+        points = [tuple(np.flatnonzero(m) + 1) for m in masks]
+        assert [s.points for s in sample_many(k, 20, 49, spawn=True)] == points
+
+    def test_trials_below_one_rejected(self):
+        k = random_kernel(3, 50)
+        for trials in (0, -1):
+            with pytest.raises(ValidationError):
+                sample_masks(k, trials, 1)
+
+    def test_breakdown_still_raised(self, monkeypatch):
+        # a tolerance above any projection's mass makes the first step break down
+        monkeypatch.setattr(dpp, "_BREAKDOWN_TOL", 1e3)
+        k = validate_kernel(np.eye(3))
+        for spawn in (False, True):
+            with pytest.raises(NumericalBreakdown):
+                sample_masks(k, 5, 51, spawn)
 
 
 class TestRestriction:
