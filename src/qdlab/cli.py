@@ -39,6 +39,7 @@ from .randmat import (
     z_score,
 )
 from .setsys import (
+    MAX_GROUND_SIZE,
     ProjectionSystem,
     SetSystem,
     arithmetic_progressions,
@@ -204,6 +205,9 @@ _SCHEMAS: dict[str, dict[str, Option]] = {
     },
 }
 
+# Options that set a ground-set size N; no value may exceed MAX_GROUND_SIZE.
+_DIMENSIONS = ("n", "n_grid", "random_n", "ap", "ap_min", "ap_max")
+
 # disc is stochastic only with a random generator or the heuristic search.
 _ALWAYS_STOCHASTIC = {"qdisc", "ubound", "lbound", "dpp", "compare", "haar"}
 
@@ -265,6 +269,11 @@ def build_config(subcommand: str, args: argparse.Namespace) -> dict:
             cfg[key] = val
     if cfg["seed"] is not None and cfg["seed"] < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {cfg['seed']}")
+    for key in _DIMENSIONS:
+        value = cfg.get(key)
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and v > MAX_GROUND_SIZE:
+                raise ValidationError(f"{key} = {v} exceeds the largest supported size {MAX_GROUND_SIZE}")
     stochastic = subcommand in _ALWAYS_STOCHASTIC or (
         subcommand == "disc" and (cfg["heuristic"] or cfg["random_n"] is not None)
     )

@@ -68,7 +68,11 @@ class HermitianMatrix:
             raise TooFarFromHermitian(
                 f"anti-Hermitian part has relative Frobenius norm {rel:.3e} > {HERMITIAN_REL_TOL:g}"
             )
-        object.__setattr__(self, "array", _freeze(0.5 * (a + a.conj().T)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            twice = a + a.conj().T
+        if not np.isfinite(twice).all():
+            raise ValidationError("A + A* is not finite: an entry is not finite or too large to symmetrize")
+        object.__setattr__(self, "array", _freeze(0.5 * twice))
 
     @property
     def dim(self) -> int:

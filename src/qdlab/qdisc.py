@@ -256,91 +256,86 @@ class QdiscEstimate:
     converged: bool
 
 
-class _CandidateState:
-    """Mutable search state for one (k, U) candidate: caches B = U_+* P U_+
-    per projection so plane rotations cost O(M N^2) instead of O(M N^3)."""
+def _root_max(squares: np.ndarray) -> np.ndarray:
+    """max over the last axis of sqrt(clip(objective^2)), as sqrt is monotone."""
+    return np.sqrt(np.maximum(squares.max(axis=-1), 0.0))
+
+
+def _plus_terms(b: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t1 and objective^2 = (2 t1 - r)^2 + 4 (t1 - t2) per projection, with
+    (t1, t2) = (tr B, tr B^2) of B = U_+* P U_+."""
+    t1, t2 = trace_pair(b)
+    return t1, (2.0 * t1 - ranks) ** 2 + 4.0 * (t1 - t2)
+
+
+def _plus_value(u: np.ndarray, k: int, stacked: np.ndarray, ranks: np.ndarray) -> float:
+    uplus = u[:, :k]
+    b = np.einsum("al,mab,bk->mlk", uplus.conj(), stacked, uplus, optimize=True)
+    return float(_root_max(_plus_terms(b, ranks)[1]))
+
+
+def _angle_basis(theta: np.ndarray) -> np.ndarray:
+    """Rows (1, sin^2 theta, sin 2 theta); times a plane's (3, M) terms they
+    give objective^2 of every projection (columns) at every angle (rows)."""
+    return np.stack((np.ones_like(theta), np.sin(theta) ** 2, np.sin(2.0 * theta)), axis=-1)
+
+
+class _PlaneSearch:
+    """Jacobi-style state of one candidate: U, k and the rotated projections
+    W_m = U* P_m U. Rotating the plane (i, j), i < k <= j, is a Givens update
+    of two columns of U and two rows and columns of W."""
 
     def __init__(self, u: np.ndarray, k: int, stacked: np.ndarray, ranks: np.ndarray):
         self.u = u.copy()
         self.k = k
-        self.stacked = stacked
         self.ranks = ranks
-        self.n = u.shape[0]
-        uplus = self.u[:, :k]
-        self.b = np.einsum("al,mab,bk->mlk", uplus.conj(), stacked, uplus, optimize=True)
-        self.t1, self.t2 = trace_pair(self.b)
+        self.w = np.einsum("al,mab,bk->mlk", u.conj(), stacked, u, optimize=True)
+        self.t1, self.v0 = _plus_terms(self.w[:, :k, :k], ranks)
 
-    def objective_max(self) -> float:
-        vals = self._values(self.t1, self.t2)
-        return float(vals.max())
+    def plane_terms(self, i: int, j: int) -> np.ndarray:
+        """(v0, Delta, h) of the plane (i, j): with alpha = W_ii, beta = W_jj,
+        gamma = W_ij and off_a, off_b, off_ab the sums of |W_li|^2, |W_lj|^2 and
+        Re(conj(W_li) W_lj) over the plus rows l != i, kappa = 8 (t1 - alpha) -
+        4 r + 4, Delta = kappa (beta - alpha) - 8 (off_b - off_a) and
+        h = kappa Re(gamma) - 8 off_ab."""
+        a, b = self.w[:, : self.k, i], self.w[:, : self.k, j]
+        alpha, beta, gamma = a[:, i].real, self.w[:, j, j].real, b[:, i]
+        off_a = np.einsum("ml,ml->m", a.conj(), a).real - alpha**2
+        off_b = np.einsum("ml,ml->m", b.conj(), b).real - np.abs(gamma) ** 2
+        off_ab = np.einsum("ml,ml->m", a.conj(), b).real - alpha * gamma.real
+        kappa = 8.0 * (self.t1 - alpha) - 4.0 * self.ranks + 4.0
+        delta = kappa * (beta - alpha) - 8.0 * (off_b - off_a)
+        return np.stack((self.v0, delta, kappa * gamma.real - 8.0 * off_ab))
 
-    def _values(self, t1, t2):
-        # objective^2 in terms of Q = U_+ U_+*: (2 t1 - r)^2 + 4 (t1 - t2)
-        return np.sqrt(np.clip((2.0 * t1 - self.ranks) ** 2 + 4.0 * (t1 - t2), 0.0, None))
-
-    def plane_closure(self, i: int, j: int):
-        """Per-plane precomputation; returns f(theta) over arbitrary angle arrays."""
-        u_i = self.u[:, i]
-        u_j = self.u[:, j]
-        uplus = self.u[:, : self.k]
-        d = self.stacked @ u_j                      # (M, N): P_m u_j
-        b_vec = d @ uplus.conj()                    # (M, k): (U_+* P_m u_j)^T entries
-        a_vec = self.b[:, :, i]                     # (M, k): column i of B_m
-        alpha = a_vec[:, i].real                    # u_i* P u_i
-        beta = (d @ u_j.conj()).real                # u_j* P u_j
-        gamma = d @ u_i.conj()                      # u_i* P u_j
-        na2 = np.sum(np.abs(a_vec) ** 2, axis=1)
-        nb2 = np.sum(np.abs(b_vec) ** 2, axis=1)
-        reab = np.sum(a_vec.conj() * b_vec, axis=1).real
-        regamma = gamma.real
-        off_a = na2 - alpha**2
-        off_b = nb2 - np.abs(gamma) ** 2
-        off_ab = reab - alpha * regamma
-
-        def f(theta: np.ndarray) -> np.ndarray:
-            c = np.cos(theta)[:, None]
-            s = np.sin(theta)[:, None]
-            bii = c * c * alpha + s * s * beta + 2.0 * c * s * regamma
-            t1 = self.t1 + bii - alpha
-            s_off = c * c * off_a + s * s * off_b + 2.0 * c * s * off_ab
-            t2 = self.t2 - (2.0 * off_a + alpha**2) + 2.0 * s_off + bii * bii
-            return self._values(t1, t2).max(axis=1)
-
-        def apply(theta: float):
-            c, s = math.cos(theta), math.sin(theta)
-            new_i = c * u_i + s * u_j
-            new_j = -s * u_i + c * u_j
-            self.u[:, i] = new_i
-            self.u[:, j] = new_j
-            col = c * a_vec + s * b_vec
-            col[:, i] = c * c * alpha + s * s * beta + 2.0 * c * s * regamma
-            self.b[:, :, i] = col
-            self.b[:, i, :] = col.conj()
-            self.b[:, i, i] = col[:, i].real
-            self.t1, self.t2 = trace_pair(self.b)
-
-        return f, apply
-
-    def coloring_array(self) -> np.ndarray:
-        return conjugate_diagonal(self.u, np.where(np.arange(self.n) < self.k, 1.0, -1.0))
+    def rotate(self, i: int, j: int, theta: float) -> None:
+        c, s = math.cos(theta), math.sin(theta)
+        u, w = self.u, self.w
+        u[:, i], u[:, j] = c * u[:, i] + s * u[:, j], -s * u[:, i] + c * u[:, j]
+        w_i, w_j = w[:, :, i], w[:, :, j]
+        alpha, beta, gamma = w_i[:, i].real, w_j[:, j].real, w_j[:, i]
+        col_i, col_j = c * w_i + s * w_j, -s * w_i + c * w_j
+        # the (i, j) block of G* W G, Hermitian with a real diagonal
+        col_i[:, i] = c * c * alpha + s * s * beta + 2.0 * c * s * gamma.real
+        col_j[:, j] = s * s * alpha + c * c * beta - 2.0 * c * s * gamma.real
+        col_j[:, i] = c * s * (beta - alpha) + c * c * gamma - s * s * gamma.conj()
+        col_i[:, j] = col_j[:, i].conj()
+        w[:, :, i], w[:, :, j] = col_i, col_j
+        w[:, i, :], w[:, j, :] = col_i.conj(), col_j.conj()
+        self.t1, self.v0 = _plus_terms(w[:, : self.k, : self.k], self.ranks)
 
 
-def _refine_candidate(
-    state: _CandidateState,
-    sweeps: int,
-    angle_grid: int,
-    halvings: int,
-    plane_cap: int | None,
-    rng: np.random.Generator,
-) -> tuple[float, bool]:
-    """Greedy plane-rotation descent on the max objective. Returns the final
-    value and whether the last sweep made no improvement."""
-    best = state.objective_max()
-    planes = [(i, j) for i in range(state.k) for j in range(state.k, state.n)]
-    if not planes or sweeps == 0:
-        return best, not planes
-    converged = False
-    thetas = np.linspace(0.0, math.pi, angle_grid, endpoint=False)
+def _refine(
+    value: float, u: np.ndarray, k: int, stacked: np.ndarray, ranks: np.ndarray,
+    sweeps: int, plane_cap: int | None, rng: np.random.Generator,
+) -> tuple[float, np.ndarray, bool]:
+    """Greedy plane-rotation descent on the max objective from U D_k U*, of
+    value `value`, for 0 < k < N. Returns the final value, the final U and
+    whether the last sweep made no improvement."""
+    planes = [(i, j) for i in range(k) for j in range(k, u.shape[0])]
+    state = _PlaneSearch(u, k, stacked, ranks)
+    best, converged = value, False
+    thetas = np.linspace(0.0, math.pi, ANGLE_GRID, endpoint=False)
+    grid = _angle_basis(thetas)
     for _ in range(sweeps):
         sweep_planes = planes
         if plane_cap is not None and len(planes) > plane_cap:
@@ -348,26 +343,26 @@ def _refine_candidate(
             sweep_planes = [planes[t] for t in sorted(idx)]
         improved = False
         for i, j in sweep_planes:
-            f, apply = state.plane_closure(i, j)
-            grid_vals = f(thetas)
+            terms = state.plane_terms(i, j)
+            grid_vals = _root_max(grid @ terms)
             pos = int(grid_vals.argmin())
             theta, val = float(thetas[pos]), float(grid_vals[pos])
-            step = math.pi / angle_grid
-            for _ in range(halvings):
+            step = math.pi / ANGLE_GRID
+            for _ in range(REFINEMENT_HALVINGS):
                 step *= 0.5
                 probe = np.array([theta - step, theta + step])
-                pv = f(probe)
+                pv = _root_max(_angle_basis(probe) @ terms)
                 q = int(pv.argmin())
                 if pv[q] < val:
                     val, theta = float(pv[q]), float(probe[q])
             if val < best - _IMPROVE_TOL:
-                apply(theta)
-                best = state.objective_max()
+                state.rotate(i, j, theta)
+                best = float(_root_max(state.v0))
                 improved = True
         if not improved:
             converged = True
             break
-    return best, converged
+    return best, state.u, converged
 
 
 def _diagonal_sets(stacked: np.ndarray) -> list[tuple[int, ...]] | None:
@@ -406,8 +401,6 @@ def qdisc_estimate(
     restarts: int = 4,
     sweeps: int = 2,
     seed=0,
-    angle_grid: int = ANGLE_GRID,
-    halvings: int = REFINEMENT_HALVINGS,
     plane_cap: int | None = None,
     refine_top: int | None = None,
 ) -> QdiscEstimate:
@@ -427,45 +420,38 @@ def qdisc_estimate(
     ranks = system.ranks().astype(float)
     k_children = seed_sequence(seed).spawn(n + 2)
 
-    candidates: list[tuple[float, _CandidateState, np.random.Generator]] = []
+    candidates: list[tuple[float, np.ndarray, int, np.random.Generator]] = []
     for k in range(n + 1):
         restart_children = k_children[k].spawn(restarts)
         for ridx in range(restarts):
             rng = np.random.default_rng(restart_children[ridx])
-            if ridx == 0:
-                u = np.eye(n, dtype=np.complex128)
-            else:
-                u = randmat.haar_unitary(n, rng)
-            state = _CandidateState(u, k, stacked, ranks)
-            candidates.append((state.objective_max(), state, rng))
+            u = np.eye(n, dtype=np.complex128) if ridx == 0 else randmat.haar_unitary(n, rng)
+            candidates.append((_plus_value(u, k, stacked, ranks), u, k, rng))
 
     witness_signs = _combinatorial_candidate(system, k_children[n + 1])
     if witness_signs is not None:
         u, k = _permutation_unitary_for_signs(witness_signs)
-        state = _CandidateState(u, k, stacked, ranks)
         rng = np.random.default_rng(k_children[n + 1].spawn(1)[0])
-        candidates.append((state.objective_max(), state, rng))
+        candidates.append((_plus_value(u, k, stacked, ranks), u, k, rng))
 
     order = sorted(range(len(candidates)), key=lambda t: (candidates[t][0], t))
     refine_set = frozenset(order if refine_top is None else order[: max(1, refine_top)])
-    best_value = math.inf
-    best_state = None
-    best_converged = False
+    best_value, best_u, best_k, best_converged = math.inf, None, 0, False
     for t in order:
-        value, state, rng = candidates[t]
+        value, u, k, rng = candidates[t]
         converged = True
-        if t in refine_set and sweeps > 0:
-            value, converged = _refine_candidate(state, sweeps, angle_grid, halvings, plane_cap, rng)
+        if t in refine_set and sweeps > 0 and 0 < k < n:  # k = 0 or N has no plane
+            value, u, converged = _refine(value, u, k, stacked, ranks, sweeps, plane_cap, rng)
         if value < best_value - _IMPROVE_TOL:
-            best_value, best_state, best_converged = value, state, converged
+            best_value, best_u, best_k, best_converged = value, u, k, converged
 
-    assert best_state is not None
-    witness = QuantumColoring(make_hermitian(best_state.coloring_array()), plus_count=best_state.k)
+    signs = np.where(np.arange(n) < best_k, 1.0, -1.0)
+    witness = QuantumColoring(make_hermitian(conjugate_diagonal(best_u, signs)), plus_count=best_k)
     final_values = _objective_values(witness.array, stacked, ranks)
     return QdiscEstimate(
         value=float(final_values.max()),
         witness=witness,
-        plus_count=best_state.k,
+        plus_count=best_k,
         restarts_used=restarts,
         converged=best_converged,
     )

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from qdlab import arithmetic_progressions, disc_exact, matrix_to_json
 from qdlab.cli import EXIT_GATE, EXIT_USAGE, EXIT_VALIDATION, main
+from qdlab.setsys import MAX_GROUND_SIZE
 
 
 def run(tmp_path, name, *argv):
@@ -280,6 +282,44 @@ class TestMalformedInput:
         assert code == EXIT_VALIDATION
         assert "validation failure" in err
         assert "Traceback" not in err
+
+
+    def test_huge_kernel_refused_without_warning(self, tmp_path, capsys):
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps([[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, "r.csv", "dpp", "sample", "--seed", "1", "--trials", "3", "--kernel", str(path))
+        assert code == EXIT_VALIDATION
+        assert "too large to symmetrize" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dpp", "sample", "--seed", "1", "--trials", "3", "--n", "100000000000"],
+            ["haar", "--seed", "1", "--trials", "3", "--n-grid", "100000000"],
+            ["qdisc", "--seed", "1", "--random-n", "100000000000", "--random-m", "1"],
+            ["ubound", "--seed", "1", "--n", "100000000000", "--m-grid", "4", "--trials", "2", "--c", "1"],
+            ["lbound", "--seed", "1", "--n-grid", "100000000000"],
+            ["disc", "--seed", "1", "--heuristic", "--random-n", "100000000000", "--random-m", "1"],
+            ["disc", "--ap", "100000000000"],
+            ["compare", "--seed", "1", "--ap-min", "6", "--ap-max", "6", "--random-count", "1",
+             "--random-n", "100000000000", "--random-m", "1"],
+            ["compare", "--seed", "1", "--ap-min", "6", "--ap-max", "100000000000", "--random-count", "0"],
+        ],
+    )
+    def test_dimension_out_of_range(self, tmp_path, capsys, argv):
+        code, _ = run(tmp_path, "r.csv", *argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"exceeds the largest supported size {MAX_GROUND_SIZE}" in err
+        assert "Traceback" not in err
+
+    def test_dimension_out_of_range_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_grid": [2, MAX_GROUND_SIZE + 1]}))
+        assert main(["haar", "--seed", "1", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert "n_grid = 4097 exceeds" in capsys.readouterr().err
 
 
 # Ints are small or far out of range: a valid mid-size n (say 3000) is a legal

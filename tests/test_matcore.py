@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,23 @@ class TestMakeHermitian:
     def test_far_from_hermitian_rejected_near_float_max(self, raw):
         with pytest.raises(TooFarFromHermitian):
             make_hermitian(raw)
+
+    @pytest.mark.parametrize(
+        "raw", [[[1e308]], [[0.0, 1e308], [1e308, 0.0]], [[1e308, 1e308], [1e308, 1e308]], [[0.0, 1e308j], [-1e308j, 0.0]]]
+    )
+    def test_overflowing_symmetrization_refused_without_warning(self, raw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="too large to symmetrize"):
+                make_hermitian(raw)
+
+    def test_large_finite_matrices_kept_as_before(self, rng):
+        big = 0.49 * np.finfo(float).max  # A + A* stays finite
+        cases = [np.array([[0.5, big], [big, 0.25]]), np.array([[0.0, 1j * big], [-1j * big, 0.0]])]
+        cases += [random_hermitian(rng, 6, scale) + 1e-9 * scale * rng.standard_normal((6, 6)) for scale in (1e-300, 1.0, 1e300)]
+        for a in cases:
+            a = a.astype(np.complex128)
+            assert np.array_equal(make_hermitian(a).array, 0.5 * (a + a.conj().T))
 
     def test_subnormal_matrix_kept(self):
         a = np.array([[1e-310, 2e-310], [2e-310, 5e-311 + 0j]])

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from qdlab import qdisc
 from qdlab import (
     Coloring,
+    arithmetic_progressions,
     ProjectionSystem,
     SetSystem,
     as_coloring,
@@ -29,12 +31,136 @@ from qdlab import (
     trivial_bound_check,
 )
 from qdlab.errors import DegenerateDim, DimMismatch, RankMismatch, ValidationError
+from qdlab.matcore import conjugate_diagonal, trace_pair
+from qdlab.qdisc import ANGLE_GRID, REFINEMENT_HALVINGS, _angle_basis, _objective_values, _PlaneSearch
 
 from conftest import random_unit_vector
 
 
 def rank_one(rng, n):
     return make_projection_from_vectors(random_unit_vector(rng, n))
+
+
+class ReferenceState:
+    """The former search state of one candidate: B = U_+* P U_+ per
+    projection, and per plane a scorer f(theta) built from P_m u_j
+    recomputed from the projection stack."""
+
+    def __init__(self, u, k, stacked, ranks):
+        self.u = u.copy()
+        self.k = k
+        self.stacked = stacked
+        self.ranks = ranks
+        uplus = self.u[:, :k]
+        self.b = np.einsum("al,mab,bk->mlk", uplus.conj(), stacked, uplus, optimize=True)
+        self.t1, self.t2 = trace_pair(self.b)
+
+    def objective_max(self):
+        return float(self.values(self.t1, self.t2).max())
+
+    def values(self, t1, t2):
+        return np.sqrt(np.clip((2.0 * t1 - self.ranks) ** 2 + 4.0 * (t1 - t2), 0.0, None))
+
+    def plane_closure(self, i, j):
+        u_i = self.u[:, i]
+        u_j = self.u[:, j]
+        uplus = self.u[:, : self.k]
+        d = self.stacked @ u_j
+        b_vec = d @ uplus.conj()
+        a_vec = self.b[:, :, i]
+        alpha = a_vec[:, i].real
+        beta = (d @ u_j.conj()).real
+        gamma = d @ u_i.conj()
+        na2 = np.sum(np.abs(a_vec) ** 2, axis=1)
+        nb2 = np.sum(np.abs(b_vec) ** 2, axis=1)
+        reab = np.sum(a_vec.conj() * b_vec, axis=1).real
+        regamma = gamma.real
+        off_a = na2 - alpha**2
+        off_b = nb2 - np.abs(gamma) ** 2
+        off_ab = reab - alpha * regamma
+
+        def f(theta):
+            c = np.cos(theta)[:, None]
+            s = np.sin(theta)[:, None]
+            bii = c * c * alpha + s * s * beta + 2.0 * c * s * regamma
+            t1 = self.t1 + bii - alpha
+            s_off = c * c * off_a + s * s * off_b + 2.0 * c * s * off_ab
+            t2 = self.t2 - (2.0 * off_a + alpha**2) + 2.0 * s_off + bii * bii
+            return self.values(t1, t2).max(axis=1)
+
+        def apply(theta):
+            c, s = math.cos(theta), math.sin(theta)
+            new_i = c * u_i + s * u_j
+            new_j = -s * u_i + c * u_j
+            self.u[:, i] = new_i
+            self.u[:, j] = new_j
+            col = c * a_vec + s * b_vec
+            col[:, i] = c * c * alpha + s * s * beta + 2.0 * c * s * regamma
+            self.b[:, :, i] = col
+            self.b[:, i, :] = col.conj()
+            self.b[:, i, i] = col[:, i].real
+            self.t1, self.t2 = trace_pair(self.b)
+
+        return f, apply
+
+
+def reference_refine(value, u, k, stacked, ranks, sweeps, plane_cap, rng, log):
+    """The former greedy plane-rotation descent, with qdisc._refine's
+    signature; appends (k, i, j, theta) of every accepted rotation to log."""
+    state = ReferenceState(u, k, stacked, ranks)
+    best = state.objective_max()
+    planes = [(i, j) for i in range(k) for j in range(k, u.shape[0])]
+    if not planes:
+        return best, state.u, True
+    converged = False
+    thetas = np.linspace(0.0, math.pi, ANGLE_GRID, endpoint=False)
+    for _ in range(sweeps):
+        sweep_planes = planes
+        if plane_cap is not None and len(planes) > plane_cap:
+            idx = rng.choice(len(planes), size=plane_cap, replace=False)
+            sweep_planes = [planes[t] for t in sorted(idx)]
+        improved = False
+        for i, j in sweep_planes:
+            f, apply = state.plane_closure(i, j)
+            grid_vals = f(thetas)
+            pos = int(grid_vals.argmin())
+            theta, val = float(thetas[pos]), float(grid_vals[pos])
+            step = math.pi / ANGLE_GRID
+            for _ in range(REFINEMENT_HALVINGS):
+                step *= 0.5
+                probe = np.array([theta - step, theta + step])
+                pv = f(probe)
+                q = int(pv.argmin())
+                if pv[q] < val:
+                    val, theta = float(pv[q]), float(probe[q])
+            if val < best - 1e-12:
+                apply(theta)
+                log.append((k, i, j, theta))
+                best = state.objective_max()
+                improved = True
+        if not improved:
+            converged = True
+            break
+    return best, state.u, converged
+
+
+def logged_estimates(monkeypatch, system, **kwargs):
+    """qdisc_estimate with the plane search and with reference_refine, each
+    with the (k, i, j, theta) sequence of its accepted rotations."""
+    new_log, ref_log = [], []
+    rotate = _PlaneSearch.rotate
+
+    def logged_rotate(self, i, j, theta):
+        new_log.append((self.k, i, j, theta))
+        rotate(self, i, j, theta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_PlaneSearch, "rotate", logged_rotate)
+        new = qdisc_estimate(system, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(qdisc, "_refine", lambda *a: reference_refine(*a, ref_log))
+        ref = qdisc_estimate(system, **kwargs)
+    return (new, new_log), (ref, ref_log)
 
 
 class TestObjective:
@@ -166,6 +292,75 @@ class TestQdiscEstimate:
     def test_requires_restarts(self):
         with pytest.raises(ValidationError):
             qdisc_estimate(random_projection_system(3, 1, 0), restarts=0)
+
+
+class TestPlaneSearch:
+    @staticmethod
+    def rotated_squares(u, k, i, j, theta, stacked, ranks):
+        """objective^2 of every projection (columns) at every angle (rows),
+        from the explicitly rotated coloring U_theta D_k U_theta*."""
+        c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        rotated = np.repeat(u[None], theta.size, axis=0)
+        rotated[:, :, i], rotated[:, :, j] = c * u[:, i] + s * u[:, j], -s * u[:, i] + c * u[:, j]
+        chi = conjugate_diagonal(rotated, np.where(np.arange(u.shape[0]) < k, 1.0, -1.0))
+        return _objective_values(chi[:, None], stacked, ranks) ** 2
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 5), (8, 12), (24, 40)])
+    def test_closed_form_matches_rotated_coloring(self, n, m):
+        system = random_projection_system(n, m, (50, n))
+        stacked, ranks = system.stacked(), system.ranks().astype(float)
+        rng = np.random.default_rng((51, n))
+        theta = np.concatenate([np.linspace(0.0, math.pi, ANGLE_GRID, endpoint=False), rng.uniform(-7, 7, 8)])
+        for k in range(1, n):
+            u = haar_unitary(n, (52, n, k))
+            state = _PlaneSearch(u, k, stacked, ranks)
+            planes = {(0, k), (k - 1, n - 1), (int(rng.integers(k)), int(rng.integers(k, n)))}
+            for i, j in sorted(planes):
+                direct = self.rotated_squares(u, k, i, j, theta, stacked, ranks)
+                closed = _angle_basis(theta) @ state.plane_terms(i, j)
+                assert np.abs(closed - direct).max() <= 1e-10 * max(1.0, np.abs(direct).max())
+
+    def test_rotations_keep_w_exact_and_u_unitary(self):
+        n, k = 10, 4
+        system = random_projection_system(n, 12, 53)
+        stacked, ranks = system.stacked(), system.ranks().astype(float)
+        state = _PlaneSearch(haar_unitary(n, 54), k, stacked, ranks)
+        rng = np.random.default_rng(55)
+        for _ in range(50):
+            state.rotate(int(rng.integers(k)), int(rng.integers(k, n)), float(rng.uniform(-math.pi, math.pi)))
+        u = state.u
+        assert np.abs(state.w - u.conj().T @ stacked @ u).max() <= 1e-12
+        assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-12
+        assert np.array_equal(state.w, state.w.conj().swapaxes(1, 2))  # Hermitian by construction
+        t1, t2 = trace_pair(state.w[:, :k, :k])
+        assert np.array_equal(state.v0, (2.0 * t1 - ranks) ** 2 + 4.0 * (t1 - t2))
+
+    @pytest.mark.parametrize(
+        "n, m, system_seed, kwargs",
+        [
+            (4, 5, 60, dict(restarts=3, sweeps=3, seed=61)),
+            (8, 12, 62, dict(restarts=2, sweeps=2, seed=63)),
+            (8, 12, 64, dict(restarts=2, sweeps=3, seed=65, plane_cap=5, refine_top=3)),
+            (24, 96, 1, dict(restarts=1, sweeps=2, seed=1)),
+            (24, 96, 2, dict(restarts=1, sweeps=2, seed=2)),
+            (24, 96, 3, dict(restarts=1, sweeps=2, seed=3)),
+        ],
+    )
+    def test_same_rotations_and_witness_as_reference(self, monkeypatch, n, m, system_seed, kwargs):
+        system = random_projection_system(n, m, system_seed)
+        (new, new_log), (ref, ref_log) = logged_estimates(monkeypatch, system, **kwargs)
+        assert new_log and new_log == ref_log
+        assert np.array_equal(new.witness.array, ref.witness.array)
+        assert (new.value, new.plus_count, new.converged) == (ref.value, ref.plus_count, ref.converged)
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_arithmetic_progressions_stay_below_disc(self, n):
+        system = arithmetic_progressions(n)
+        disc, _ = disc_exact(system)
+        runs = [qdisc_estimate(to_projection_system(system), restarts=2, sweeps=1, seed=(66, n)) for _ in range(2)]
+        assert runs[0].value <= disc
+        assert runs[0].value == runs[1].value
+        assert np.array_equal(runs[0].witness.array, runs[1].witness.array)
 
 
 class TestDeltaThreshold:
