@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .combdisc import disc_exact, disc_heuristic
 from .concentration import comparison_check, lower_bound_constants
-from .dpp import exact_distribution, sample_many, size_pmf, validate_kernel
+from .dpp import exact_distribution, sample_many, sample_masks, size_pmf, validate_kernel
 from .errors import GroundSetTooLarge, QdlabError, ValidationError
 from .matcore import matrix_from_json, matrix_to_json
 from .qdisc import QdiscEstimate, delta_event_count, delta_thresholds, objective, qdisc_estimate
@@ -40,6 +39,7 @@ from .randmat import (
 )
 from .setsys import (
     MAX_GROUND_SIZE,
+    MAX_SET_COUNT,
     ProjectionSystem,
     SetSystem,
     arithmetic_progressions,
@@ -115,6 +115,9 @@ def render_report(report: ExperimentReport, fmt: str) -> str:
 
 def _binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
     """Clopper-Pearson interval."""
+    # scipy is imported here, its only use, so that importing qdlab stays cheap
+    from scipy import stats
+
     a = (1.0 - level) / 2.0
     lo = stats.beta.ppf(a, successes, trials - successes + 1) if successes > 0 else 0.0
     hi = stats.beta.ppf(1 - a, successes + 1, trials - successes) if successes < trials else 1.0
@@ -205,8 +208,12 @@ _SCHEMAS: dict[str, dict[str, Option]] = {
     },
 }
 
-# Options that set a ground-set size N; no value may exceed MAX_GROUND_SIZE.
-_DIMENSIONS = ("n", "n_grid", "random_n", "ap", "ap_min", "ap_max")
+# Options that set a ground-set size N or a set count M, and their largest
+# supported value.
+_SIZES = (
+    (("n", "n_grid", "random_n", "ap", "ap_min", "ap_max"), MAX_GROUND_SIZE),
+    (("random_m", "m_grid", "m_cap"), MAX_SET_COUNT),
+)
 
 # disc is stochastic only with a random generator or the heuristic search.
 _ALWAYS_STOCHASTIC = {"qdisc", "ubound", "lbound", "dpp", "compare", "haar"}
@@ -269,11 +276,12 @@ def build_config(subcommand: str, args: argparse.Namespace) -> dict:
             cfg[key] = val
     if cfg["seed"] is not None and cfg["seed"] < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {cfg['seed']}")
-    for key in _DIMENSIONS:
-        value = cfg.get(key)
-        for v in value if isinstance(value, list) else [value]:
-            if v is not None and v > MAX_GROUND_SIZE:
-                raise ValidationError(f"{key} = {v} exceeds the largest supported size {MAX_GROUND_SIZE}")
+    for keys, limit in _SIZES:
+        for key in keys:
+            value = cfg.get(key)
+            for v in value if isinstance(value, list) else [value]:
+                if v is not None and v > limit:
+                    raise ValidationError(f"{key} = {v} exceeds the largest supported size {limit}")
     stochastic = subcommand in _ALWAYS_STOCHASTIC or (
         subcommand == "disc" and (cfg["heuristic"] or cfg["random_n"] is not None)
     )
@@ -491,8 +499,8 @@ def cmd_dpp(cfg: dict) -> ExperimentReport:
     trials = int(cfg["trials"])
     if trials < 1:
         raise UsageError("need trials >= 1")
-    draws = sample_many(kernel, trials, draw_child, spawn=True)
     if action == "sample":
+        draws = sample_many(kernel, trials, draw_child, spawn=True)
         rows = [
             {"trial": t, "size": len(s.points), "points": " ".join(map(str, s.points))}
             for t, s in enumerate(draws)
@@ -509,11 +517,10 @@ def cmd_dpp(cfg: dict) -> ExperimentReport:
     # action == "check": compare empirical statistics against exact laws
     n = kernel.dim
     dist = exact_distribution(kernel)  # raises GroundSetTooLarge past the cap
-    masks = np.array([s.mask() for s in draws], dtype=np.int64)
-    members = (masks[:, None] >> np.arange(n)) & 1
+    members = sample_masks(kernel, trials, draw_child, spawn=True)
     incl_counts = members.sum(axis=0)
     size_counts = np.bincount(members.sum(axis=1), minlength=n + 1)
-    emp = np.bincount(masks, minlength=1 << n) / trials
+    emp = np.bincount(members @ (1 << np.arange(n)), minlength=1 << n) / trials
     exact = np.array([dist[t] for t in dist])
     subset_tv = 0.5 * float(np.abs(emp - exact).sum())
     size_tv = 0.5 * float(np.abs(size_counts / trials - size_pmf(kernel)).sum())

@@ -43,10 +43,6 @@ class ProcessSample:
             raise ValidationError(f"sample {pts} is not a sorted duplicate-free subset")
         object.__setattr__(self, "points", pts)
 
-    def mask(self) -> int:
-        """Bitmask with bit i-1 set for each point i."""
-        return sum(1 << (p - 1) for p in self.points)
-
 
 class DPPKernel:
     """A Hermitian matrix with spectrum in [0, 1]; the law of a determinantal
@@ -128,24 +124,27 @@ def sample_masks(kernel: DPPKernel, trials: int, seed, spawn: bool = False) -> n
     uniforms of the single stream `default_rng(seed)` (which reads ahead in
     blocks, so a Generator passed as `seed` ends past the last draw);
     spawn=True derives an independent child stream per trial index, which is
-    what a concurrent driver should use. The draws run in stacks of
-    BATCH_ENTRIES matrix entries, and each equals the draw made alone from
-    the same uniforms.
+    what a concurrent driver should use. The draws run in stacks whose
+    factors hold at most 4 BATCH_ENTRIES complex entries (1 MiB): a draw's
+    factor has at most rank x N entries, rank the count of nonzero
+    eigenvalues. A draw reads the same uniforms as the Schur-complement draw
+    made alone; its residual weights agree with that draw's to about 1e-16
+    relative, so the two can differ only where a uniform lands within
+    rounding of a cumulative-weight boundary (BLAS products may also round
+    differently for different stack sizes).
     """
     if trials < 1:
         raise ValidationError("need trials >= 1")
     n = kernel.dim
-    chunk = max(1, BATCH_ENTRIES // (n * n))
+    plus = kernel.eigenvalues > 0.0
+    lam, vecs = kernel.eigenvalues[plus], kernel.eigenvectors[:, plus]
+    chunk = max(1, 4 * BATCH_ENTRIES // (n * max(1, lam.size)))
     uniforms = _spawned_uniforms if spawn else _stream_uniforms
     out = np.empty((trials, n), dtype=bool)
-    projections: dict[bytes, np.ndarray] = {}
     lo = 0
     for u in uniforms(kernel.eigenvalues, trials, seed, chunk):
-        out[lo : lo + len(u)] = _place_points(kernel, u, projections)
+        out[lo : lo + len(u)] = _place_points(vecs, u[:, :n][:, plus] < lam, u[:, n:])
         lo += len(u)
-        # keeps the cache near one stack in size
-        if len(projections) > chunk:
-            projections.clear()
     return out
 
 
@@ -181,48 +180,36 @@ def _stream_uniforms(lam: np.ndarray, trials: int, seed, chunk: int):
         buf = buf[pos:]
 
 
-def _place_points(kernel: DPPKernel, u: np.ndarray, projections: dict) -> np.ndarray:
-    """The draws of the uniform rows `u` as a (rows, N) bool array.
+def _place_points(vecs: np.ndarray, keep: np.ndarray, phase2: np.ndarray) -> np.ndarray:
+    """The draws that keep the eigenvectors `vecs[:, keep[t]]` and read the
+    phase-2 uniforms `phase2[t]`, as a (rows, N) bool array.
 
-    Phase 1 keeps eigenvector i of a draw iff u_i < lambda_i. Phase 2 samples
-    the projection process with kernel Q = V V* of the kept vectors point by
-    point: it picks s with probability Q_ss / tr Q, then replaces Q by its
-    Schur complement Q - q q*/Q_ss (q the s-th column), which is exactly the
-    projection onto the Gram-Schmidt downdated frame {u in range Q: u_s = 0}.
-    The draws run side by side, sorted by the number k of points to place,
-    so the draws still placing points at any step form a prefix of the
-    stack. Every draw sees the same floating-point operations, in the same
-    order, as it would alone; `projections` caches Q by phase-1 mask.
+    Phase 2 samples the projection process with kernel Q = V V* of the kept
+    vectors point by point. It keeps the residual diagonal d (first diag Q)
+    and the rows l of a Cholesky-type factor, so that the Schur complement
+    left after each placed point is Q - sum l l* (Tremblay, Barthelme and
+    Amblard, arXiv:1802.08471). A step picks s with probability d_s / sum d,
+    forms column s of Q from the eigenvectors, subtracts the earlier rows'
+    part, scales by 1/sqrt(d_s) into the next row l and sets d -= |l|^2. The
+    draws run side by side, sorted by the number k of points to place, so the
+    draws still placing points at any step form a prefix of the stack.
     """
-    n = kernel.dim
-    keep = u[:, :n] < kernel.eigenvalues
+    n = vecs.shape[0]
     sizes = np.count_nonzero(keep, axis=1)
     order = np.argsort(-sizes, kind="stable")
     order = order[sizes[order] > 0]
-    out = np.zeros_like(keep)
+    out = np.zeros((len(keep), n), dtype=bool)
     if not len(order):
         return out
-    slots: dict[bytes, int] = {}
-    stack, which = [], []
-    for mask in keep[order]:
-        key = mask.tobytes()
-        if key not in slots:
-            if key not in projections:
-                v = kernel.eigenvectors[:, mask]
-                projections[key] = v @ v.conj().T
-            slots[key] = len(stack)
-            stack.append(projections[key])
-        which.append(slots[key])
-    q = np.stack(stack)[which]
-    outer = np.empty_like(q)
+    keep, phase2, k = keep[order], phase2[order], sizes[order]
+    d = keep @ (vecs.real**2 + vecs.imag**2).T
+    factor = np.empty((len(order), k[0], n), dtype=vecs.dtype)
     placed = np.zeros((len(order), n), dtype=bool)
-    k = sizes[order]
-    phase2 = u[order, n:]
     # draws still placing points at each step: the count of k > step
     active = np.searchsorted(-k, -np.arange(k[0]), side="left").tolist()
     for step, a in enumerate(active):
-        qa, oa, rows = q[:a], outer[:a], np.arange(a)
-        weights = np.clip(np.diagonal(qa, axis1=1, axis2=2).real, 0.0, None)
+        rows = np.arange(a)
+        weights = np.clip(d[:a], 0.0, None)
         weights[placed[:a]] = 0.0
         total = weights.sum(axis=1)
         if (total < _BREAKDOWN_TOL).any():
@@ -234,15 +221,15 @@ def _place_points(kernel: DPPKernel, u: np.ndarray, projections: dict) -> np.nda
         # searchsorted(cum, target, side="right") on one draw
         cum = np.cumsum(weights, axis=1)
         s = np.minimum(np.count_nonzero(cum <= (phase2[:a, step] * total)[:, None], axis=1), n - 1)
-        pivot = qa[rows, s, s].real
+        pivot = d[rows, s]
         if (pivot < _BREAKDOWN_TOL).any():
             raise NumericalBreakdown(f"conditioning pivot {pivot.min():.3e} at step {step}")
         placed[rows, s] = True
-        col = qa[rows, :, s]
-        np.multiply(col[:, :, None], col.conj()[:, None, :], out=oa)
-        # one draw divides by the pivot cast to complex: cast it once here
-        np.divide(oa, pivot.astype(np.complex128)[:, None, None], out=oa)
-        np.subtract(qa, oa, out=qa)
+        col = (keep[:a] * vecs[s].conj()) @ vecs.T
+        col -= np.matmul(factor[rows, :step, s].conj()[:, None, :], factor[:a, :step])[:, 0]
+        row = factor[:a, step]
+        np.divide(col, np.sqrt(pivot)[:, None], out=row)
+        d[:a] -= row.real**2 + row.imag**2
     out[order] = placed
     return out
 

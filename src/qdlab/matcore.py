@@ -260,7 +260,7 @@ def make_projection_from_vectors(columns: np.ndarray) -> OrthogonalProjection:
 def matrix_to_json(matrix) -> list:
     """Serialize a complex matrix as nested lists of [re, im] pairs."""
     arr = as_complex_array(matrix)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:

@@ -16,6 +16,9 @@ from .matcore import OrthogonalProjection, as_projection, matrix_from_json
 # Largest ground set or dimension accepted from JSON. Projection systems are
 # dense N x N arrays, so a larger N cannot be held; qdlab targets a few hundred.
 MAX_GROUND_SIZE = 4096
+# Largest set count M a command line or config file may ask for; the
+# defaults ask for at most 2048 (lbound's m_cap).
+MAX_SET_COUNT = 1 << 16
 
 
 def _json_int(value, what: str) -> int:

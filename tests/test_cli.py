@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -11,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdlab import arithmetic_progressions, disc_exact, matrix_to_json
-from qdlab.cli import EXIT_GATE, EXIT_USAGE, EXIT_VALIDATION, main
-from qdlab.setsys import MAX_GROUND_SIZE
+from qdlab.cli import _SCHEMAS, EXIT_GATE, EXIT_USAGE, EXIT_VALIDATION, main
+from qdlab.setsys import MAX_GROUND_SIZE, MAX_SET_COUNT
 
 
 def run(tmp_path, name, *argv):
@@ -320,6 +323,46 @@ class TestMalformedInput:
         cfg.write_text(json.dumps({"n_grid": [2, MAX_GROUND_SIZE + 1]}))
         assert main(["haar", "--seed", "1", "--config", str(cfg)]) == EXIT_VALIDATION
         assert "n_grid = 4097 exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["disc", "--seed", "1", "--heuristic", "--random-n", "4", "--random-m", "100000000000"],
+            ["qdisc", "--seed", "1", "--random-n", "4", "--random-m", "100000000000"],
+            ["ubound", "--seed", "1", "--n", "4", "--m-grid", "4", "100000000000", "--trials", "2", "--c", "1"],
+            ["lbound", "--seed", "1", "--n-grid", "4", "--m-cap", "100000000000"],
+            ["compare", "--seed", "1", "--ap-min", "6", "--ap-max", "6", "--random-count", "1",
+             "--random-n", "4", "--random-m", "100000000000"],
+        ],
+    )
+    def test_set_count_out_of_range(self, tmp_path, capsys, argv):
+        code, _ = run(tmp_path, "r.csv", *argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"exceeds the largest supported size {MAX_SET_COUNT}" in err
+        assert "Traceback" not in err
+
+    def test_set_count_out_of_range_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for command, data in ((["lbound"], {"m_cap": MAX_SET_COUNT + 1}), (["ubound"], {"m_grid": [4, 10**12]})):
+            cfg.write_text(json.dumps(data))
+            assert main([*command, "--seed", "1", "--config", str(cfg)]) == EXIT_VALIDATION
+            assert "exceeds the largest supported size" in capsys.readouterr().err
+
+    def test_set_count_defaults_within_cap(self):
+        for options in _SCHEMAS.values():
+            for key in set(options) & {"random_m", "m_grid", "m_cap"}:
+                default = options[key].default
+                assert max(default if isinstance(default, list) else [default or 0]) <= MAX_SET_COUNT
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy is loaded only for ubound's Clopper-Pearson interval
+        code = "import sys, qdlab.cli; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"
 
 
 # Ints are small or far out of range: a valid mid-size n (say 3000) is a legal

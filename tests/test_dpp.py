@@ -196,6 +196,25 @@ class TestSampleMasks:
         assert (masks.sum(axis=1) == 64).all()
 
     @pytest.mark.parametrize("spawn", [False, True])
+    @pytest.mark.parametrize("n, projection", [(3, False), (8, False), (128, True)])
+    def test_stack_edges(self, n, projection, spawn):
+        # a stack holds 4 BATCH_ENTRIES factor entries, rank x N per draw
+        k = validate_kernel(random_projection(n, 52).array) if projection else random_kernel(n, (52, n))
+        chunk = 4 * BATCH_ENTRIES // (n * np.count_nonzero(k.eigenvalues))
+        assert chunk > 1
+        for trials in (chunk - 1, chunk, chunk + 1):
+            assert np.array_equal(sample_masks(k, trials, 53, spawn), reference_masks(k, trials, 53, spawn))
+
+    @pytest.mark.parametrize("spawn", [False, True])
+    def test_few_hundred_points(self, spawn):
+        # the dense size the README claims, one draw per stack
+        k = validate_kernel(random_projection(300, 54).array)
+        assert np.count_nonzero(k.eigenvalues) == 150
+        masks = sample_masks(k, 3, 55, spawn)
+        assert np.array_equal(masks, reference_masks(k, 3, 55, spawn))
+        assert (masks.sum(axis=1) == 150).all()
+
+    @pytest.mark.parametrize("spawn", [False, True])
     def test_zero_and_identity_kernels(self, spawn):
         for matrix in (np.zeros((4, 4)), np.eye(4)):
             k = validate_kernel(matrix)

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -226,6 +227,16 @@ class TestMatrixJson:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             matrix_from_json([[1.0, 2.0], [3.0, 4.0]])
+
+    def test_same_floats_as_entrywise_conversion(self):
+        extremes = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]
+        for n in (0, 1, 3):
+            rng = np.random.default_rng(n)
+            a = rng.choice(extremes, (n, n)) + 1j * rng.choice(extremes, (n, n))
+            a[np.diag_indices(n)] = complex(-0.0, 5e-324)
+            entrywise = [[[float(z.real), float(z.imag)] for z in row] for row in a]
+            assert json.dumps(matrix_to_json(a)) == json.dumps(entrywise)
+            assert all(type(x) is float for row in matrix_to_json(a) for z in row for x in z)
 
     @pytest.mark.parametrize(
         "data",
