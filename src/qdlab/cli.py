@@ -43,6 +43,7 @@ from .setsys import (
     ProjectionSystem,
     SetSystem,
     arithmetic_progressions,
+    check_dense_size,
     evaluate_coloring,
     random_set_system,
     to_projection_system,
@@ -113,15 +114,27 @@ def render_report(report: ExperimentReport, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Clopper-Pearson interval."""
-    # scipy is imported here, its only use, so that importing qdlab stays cheap
-    from scipy import stats
+def _binomial_cdf_root(k: int, n: int, target: float) -> float:
+    """The p with P(Bin(n, p) <= k) = target, for 0 <= k < n, by bisection
+    to the last bit; the CDF falls strictly in p and is summed in log space."""
+    j = np.arange(k + 1)
+    log_coef = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in j])
+    lo, hi = 0.0, 1.0
+    while lo < (p := 0.5 * (lo + hi)) < hi:
+        log_pmf = log_coef + j * math.log(p) + (n - j) * math.log1p(-p)
+        top = log_pmf.max()
+        cdf = math.exp(top) * np.exp(log_pmf - top).sum()
+        lo, hi = (p, hi) if cdf > target else (lo, p)
+    return p
 
+
+def _binomial_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
+    """Clopper-Pearson interval: P(X >= s) = a at the low end and
+    P(X <= s) = a at the high end, with a = (1 - level) / 2."""
     a = (1.0 - level) / 2.0
-    lo = stats.beta.ppf(a, successes, trials - successes + 1) if successes > 0 else 0.0
-    hi = stats.beta.ppf(1 - a, successes + 1, trials - successes) if successes < trials else 1.0
-    return float(lo), float(hi)
+    lo = _binomial_cdf_root(successes - 1, trials, 1.0 - a) if successes > 0 else 0.0
+    hi = _binomial_cdf_root(successes, trials, a) if successes < trials else 1.0
+    return lo, hi
 
 
 # --------------------------------------------------------------------------
@@ -405,6 +418,8 @@ def cmd_ubound(cfg: dict) -> ExperimentReport:
     n = int(cfg["n"])
     m_grid = [int(m) for m in cfg["m_grid"]]
     trials = int(cfg["trials"])
+    for m in m_grid:
+        check_dense_size(n, m)
     probe_child, *m_children = root.spawn(1 + 2 * len(m_grid))
     if cfg["c"] is None:
         probe = concentration_probe(n, int(cfg["probe_trials"]), seed=probe_child)
@@ -443,8 +458,12 @@ def cmd_lbound(cfg: dict) -> ExperimentReport:
     m_cap = int(cfg["m_cap"])
     instances = []
     for n in n_grid:
+        if n >= 2048:
+            raise ValidationError(f"lbound needs n < 2048, got {n}: the 2^(n/2) sets overflow a float")
         for m_requested in (n, n * n, int(round(2 ** (n / 2)))):
-            instances.append((n, min(m_requested, m_cap), m_requested))
+            m = min(m_requested, m_cap)
+            check_dense_size(n, m)
+            instances.append((n, m, m_requested))
     children = root.spawn(2 * len(instances))
     rows = []
     for pos, (n, m, m_requested) in enumerate(instances):

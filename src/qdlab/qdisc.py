@@ -44,7 +44,6 @@ from .setsys import ProjectionSystem, SetSystem
 _CONSISTENCY_TOL = 1e-9
 _IMPROVE_TOL = 1e-12
 ANGLE_GRID = 64
-REFINEMENT_HALVINGS = 3
 
 
 @dataclass(frozen=True)
@@ -280,6 +279,12 @@ def _angle_basis(theta: np.ndarray) -> np.ndarray:
     return np.stack((np.ones_like(theta), np.sin(theta) ** 2, np.sin(2.0 * theta)), axis=-1)
 
 
+# The line search's angles k pi / 512; every 8th is a coarse-grid angle.
+# objective^2 has period pi in theta, so a window around one may wrap.
+_THETAS = np.linspace(0.0, math.pi, 8 * ANGLE_GRID, endpoint=False)
+_TABLE = _angle_basis(_THETAS)
+
+
 class _PlaneSearch:
     """Jacobi-style state of one candidate: U, k and the rotated projections
     W_m = U* P_m U. Rotating the plane (i, j), i < k <= j, is a Givens update
@@ -334,8 +339,6 @@ def _refine(
     planes = [(i, j) for i in range(k) for j in range(k, u.shape[0])]
     state = _PlaneSearch(u, k, stacked, ranks)
     best, converged = value, False
-    thetas = np.linspace(0.0, math.pi, ANGLE_GRID, endpoint=False)
-    grid = _angle_basis(thetas)
     for _ in range(sweeps):
         sweep_planes = planes
         if plane_cap is not None and len(planes) > plane_cap:
@@ -343,20 +346,13 @@ def _refine(
             sweep_planes = [planes[t] for t in sorted(idx)]
         improved = False
         for i, j in sweep_planes:
+            # the coarse argmin, then the argmin of the 15 table angles around it
             terms = state.plane_terms(i, j)
-            grid_vals = _root_max(grid @ terms)
-            pos = int(grid_vals.argmin())
-            theta, val = float(thetas[pos]), float(grid_vals[pos])
-            step = math.pi / ANGLE_GRID
-            for _ in range(REFINEMENT_HALVINGS):
-                step *= 0.5
-                probe = np.array([theta - step, theta + step])
-                pv = _root_max(_angle_basis(probe) @ terms)
-                q = int(pv.argmin())
-                if pv[q] < val:
-                    val, theta = float(pv[q]), float(probe[q])
-            if val < best - _IMPROVE_TOL:
-                state.rotate(i, j, theta)
+            window = 8 * int(_root_max(_TABLE[::8] @ terms).argmin()) + np.arange(-7, 8)
+            vals = _root_max(np.take(_TABLE, window, axis=0, mode="wrap") @ terms)
+            q = int(vals.argmin())
+            if vals[q] < best - _IMPROVE_TOL:
+                state.rotate(i, j, float(_THETAS[window[q] % _THETAS.size]))
                 best = float(_root_max(state.v0))
                 improved = True
         if not improved:

@@ -21,7 +21,7 @@ from .matcore import (
     BATCH_ENTRIES, OrthogonalProjection, QuantumColoring, conjugate_diagonal, make_hermitian, seed_sequence,
     trace_pair,
 )
-from .setsys import ProjectionSystem
+from .setsys import ProjectionSystem, check_dense_size
 
 
 def haar_batch(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
@@ -84,6 +84,7 @@ def random_projection_system(n: int, m: int, seed) -> ProjectionSystem:
     function of (seed, i) through spawned child streams."""
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
+    check_dense_size(n, m)
     children = seed_sequence(seed).spawn(m)
     return ProjectionSystem(n, tuple(random_projection(n, c) for c in children))
 

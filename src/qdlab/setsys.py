@@ -19,6 +19,10 @@ MAX_GROUND_SIZE = 4096
 # Largest set count M a command line or config file may ask for; the
 # defaults ask for at most 2048 (lbound's m_cap).
 MAX_SET_COUNT = 1 << 16
+# Largest N^2 M of a projection system, which holds M dense N x N complex
+# matrices: 256 MiB per (M, N, N) stack at the cap. The defaults hold at most
+# 2^21 (lbound, N = 32, M = 2048).
+MAX_DENSE_ENTRIES = 1 << 24
 
 
 def _json_int(value, what: str) -> int:
@@ -26,6 +30,15 @@ def _json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValidationError(f"{what} must be a JSON integer, got {value!r}")
     return value
+
+
+def check_dense_size(n: int, m: int) -> None:
+    """Refuse, before allocating, M dense N x N projections above the cap."""
+    if n * n * m > MAX_DENSE_ENTRIES:
+        raise ValidationError(
+            f"{m} projections of dimension {n} hold {n * n * m} entries, "
+            f"above the largest supported {MAX_DENSE_ENTRIES}"
+        )
 
 
 def _checked_json_size(n) -> int:
@@ -169,6 +182,7 @@ def random_set_system(n: int, m: int, seed) -> SetSystem:
 def to_projection_system(system: SetSystem) -> ProjectionSystem:
     """Embed each subset S as the diagonal 0/1 projection onto span{e_i : i in S}."""
     n = system.ground_size
+    check_dense_size(n, system.num_sets)
     projs = []
     for s in system.sets:
         diag = np.zeros(n, dtype=np.complex128)

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdlab import arithmetic_progressions, disc_exact, matrix_to_json
-from qdlab.cli import _SCHEMAS, EXIT_GATE, EXIT_USAGE, EXIT_VALIDATION, main
-from qdlab.setsys import MAX_GROUND_SIZE, MAX_SET_COUNT
+from qdlab.cli import _SCHEMAS, EXIT_GATE, EXIT_USAGE, EXIT_VALIDATION, _binomial_ci, main
+from qdlab.setsys import MAX_DENSE_ENTRIES, MAX_GROUND_SIZE, MAX_SET_COUNT, check_dense_size
 
 
 def run(tmp_path, name, *argv):
@@ -355,14 +355,69 @@ class TestMalformedInput:
                 default = options[key].default
                 assert max(default if isinstance(default, list) else [default or 0]) <= MAX_SET_COUNT
 
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["qdisc", "--random-n", "2048", "--random-m", "100", "--restarts", "1", "--sweeps", "1"], None),
+            (["qdisc", "--input"], {"n": 4096, "sets": [[1]] * 100}),
+            (["lbound", "--n-grid", "8", "300"], None),
+            (["ubound", "--n", "3000", "--m-grid", "4"], None),
+        ],
+    )
+    def test_dense_size_out_of_range(self, tmp_path, capsys, argv, doc):
+        if doc is not None:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(doc))
+            argv = [*argv, str(path)]
+        code, _ = run(tmp_path, "r.csv", *argv, "--seed", "1")
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"above the largest supported {MAX_DENSE_ENTRIES}" in err
+        assert "Traceback" not in err
+
+    def test_dense_size_defaults_within_cap(self):
+        lbound, ubound = _SCHEMAS["lbound"], _SCHEMAS["ubound"]
+        check_dense_size(max(lbound["n_grid"].default), lbound["m_cap"].default)
+        check_dense_size(ubound["n"].default, max(ubound["m_grid"].default))
+
+    @pytest.mark.parametrize("extra", [[], ["--m-cap", "1"]])
+    def test_lbound_grid_beyond_float_range(self, tmp_path, capsys, extra):
+        code, _ = run(tmp_path, "r.csv", "lbound", "--n-grid", "2050", *extra, "--seed", "1")
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "lbound needs n < 2048" in err
+        assert "Traceback" not in err
+
 
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
-        # scipy is loaded only for ubound's Clopper-Pearson interval
+        # scipy is a test-only dependency
         code = "import sys, qdlab.cli; print('scipy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_ubound_runs_without_scipy(self):
+        argv = ["ubound", "--n", "4", "--m-grid", "4", "--trials", "50", "--probe-trials", "1000", "--seed", "1"]
+        code = f"import sys; sys.modules['scipy'] = None; from qdlab.cli import main; sys.exit(main({argv!r}))"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        row = out.stdout.splitlines()[3].split(",")
+        assert 0.0 <= float(row[6]) <= float(row[5]) <= float(row[7]) <= 1.0
+
+
+class TestBinomialCi:
+    def test_matches_scipy_beta_ppf(self):
+        from scipy import stats
+
+        for n in (1, 2, 3, 7, 10, 100, 1000, 10000):
+            for s in sorted({0, 1, 2, n // 3, n // 2, n - 2, n - 1, n} & set(range(n + 1))):
+                lo, hi = _binomial_ci(s, n)
+                ref_lo = stats.beta.ppf(0.025, s, n - s + 1) if s > 0 else 0.0
+                ref_hi = stats.beta.ppf(0.975, s + 1, n - s) if s < n else 1.0
+                assert lo == pytest.approx(ref_lo, rel=1e-9, abs=0.0), (s, n)
+                assert hi == pytest.approx(ref_hi, rel=1e-9, abs=0.0), (s, n)
 
 
 # Ints are small or far out of range: a valid mid-size n (say 3000) is a legal

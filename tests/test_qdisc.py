@@ -32,7 +32,7 @@ from qdlab import (
 )
 from qdlab.errors import DegenerateDim, DimMismatch, RankMismatch, ValidationError
 from qdlab.matcore import conjugate_diagonal, trace_pair
-from qdlab.qdisc import ANGLE_GRID, REFINEMENT_HALVINGS, _angle_basis, _objective_values, _PlaneSearch
+from qdlab.qdisc import ANGLE_GRID, _angle_basis, _objective_values, _PlaneSearch, _root_max
 
 from conftest import random_unit_vector
 
@@ -104,16 +104,44 @@ class ReferenceState:
         return f, apply
 
 
+# The line search's angles k pi / 512, of which every 8th is the 64-angle
+# coarse grid; a plane is scored on the coarse grid, then on the 15 angles
+# from 7 rows before its first coarse argmin to 7 rows after, wrapped mod pi.
+TABLE_THETAS = np.linspace(0.0, math.pi, 512, endpoint=False)
+
+
+def window_thetas(coarse_values):
+    return TABLE_THETAS[(8 * int(coarse_values.argmin()) + np.arange(-7, 8)) % 512]
+
+
+def halving_search(terms):
+    """The former line search on a plane's (3, M) terms, kept as an oracle:
+    the first argmin over the 64-angle grid, then three halving rounds that
+    probe theta +- step and move on a strict improvement."""
+    thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
+    grid_vals = _root_max(_angle_basis(thetas) @ terms)
+    pos = int(grid_vals.argmin())
+    theta, val, step = float(thetas[pos]), float(grid_vals[pos]), math.pi / 64
+    for _ in range(3):
+        step *= 0.5
+        probe = np.array([theta - step, theta + step])
+        pv = _root_max(_angle_basis(probe) @ terms)
+        q = int(pv.argmin())
+        if pv[q] < val:
+            val, theta = float(pv[q]), float(probe[q])
+    return theta, val
+
+
 def reference_refine(value, u, k, stacked, ranks, sweeps, plane_cap, rng, log):
     """The former greedy plane-rotation descent, with qdisc._refine's
-    signature; appends (k, i, j, theta) of every accepted rotation to log."""
+    signature and line search; appends (k, i, j, theta) of every accepted
+    rotation to log."""
     state = ReferenceState(u, k, stacked, ranks)
     best = state.objective_max()
     planes = [(i, j) for i in range(k) for j in range(k, u.shape[0])]
     if not planes:
         return best, state.u, True
     converged = False
-    thetas = np.linspace(0.0, math.pi, ANGLE_GRID, endpoint=False)
     for _ in range(sweeps):
         sweep_planes = planes
         if plane_cap is not None and len(planes) > plane_cap:
@@ -122,17 +150,10 @@ def reference_refine(value, u, k, stacked, ranks, sweeps, plane_cap, rng, log):
         improved = False
         for i, j in sweep_planes:
             f, apply = state.plane_closure(i, j)
-            grid_vals = f(thetas)
-            pos = int(grid_vals.argmin())
-            theta, val = float(thetas[pos]), float(grid_vals[pos])
-            step = math.pi / ANGLE_GRID
-            for _ in range(REFINEMENT_HALVINGS):
-                step *= 0.5
-                probe = np.array([theta - step, theta + step])
-                pv = f(probe)
-                q = int(pv.argmin())
-                if pv[q] < val:
-                    val, theta = float(pv[q]), float(probe[q])
+            window = window_thetas(f(TABLE_THETAS[::8]))
+            vals = f(window)
+            q = int(vals.argmin())
+            theta, val = float(window[q]), float(vals[q])
             if val < best - 1e-12:
                 apply(theta)
                 log.append((k, i, j, theta))
@@ -352,6 +373,51 @@ class TestPlaneSearch:
         assert new_log and new_log == ref_log
         assert np.array_equal(new.witness.array, ref.witness.array)
         assert (new.value, new.plus_count, new.converged) == (ref.value, ref.plus_count, ref.converged)
+
+    def test_coarse_rows_are_the_former_grid(self):
+        grid = _angle_basis(np.linspace(0.0, math.pi, ANGLE_GRID, endpoint=False))
+        assert np.array_equal(qdisc._TABLE[::8], grid)
+        assert np.array_equal(qdisc._THETAS, TABLE_THETAS)
+
+    @pytest.mark.parametrize(
+        "system, kwargs",
+        [
+            (random_projection_system(8, 12, 70), dict(restarts=2, sweeps=3, seed=71)),
+            (random_projection_system(24, 96, 72), dict(restarts=1, sweeps=2, seed=73, plane_cap=40, refine_top=2)),
+        ]
+        + [(to_projection_system(arithmetic_progressions(n)), dict(restarts=2, sweeps=1, seed=(74, n))) for n in range(6, 13)],
+        ids=["random8", "random24"] + [f"ap{n}" for n in range(6, 13)],
+    )
+    def test_window_search_per_plane(self, monkeypatch, system, kwargs):
+        """On every plane the search scores: its window is never worse than
+        the former halving, its value is the direct objective of the rotated
+        coloring, and an accepted rotation takes the window's argmin."""
+        planes, accepted = [], []
+        plane_terms, rotate = _PlaneSearch.plane_terms, _PlaneSearch.rotate
+
+        def logged_terms(self, i, j):
+            terms = plane_terms(self, i, j)
+            planes.append((self.u.copy(), self.k, i, j, terms))
+            return terms
+
+        def logged_rotate(self, i, j, theta):
+            accepted.append((len(planes) - 1, theta))
+            rotate(self, i, j, theta)
+
+        monkeypatch.setattr(_PlaneSearch, "plane_terms", logged_terms)
+        monkeypatch.setattr(_PlaneSearch, "rotate", logged_rotate)
+        qdisc_estimate(system, **kwargs)
+        stacked, ranks = system.stacked(), system.ranks().astype(float)
+        chosen = []
+        for u, k, i, j, terms in planes:
+            window = window_thetas(_root_max(_angle_basis(TABLE_THETAS[::8]) @ terms))
+            vals = _root_max(_angle_basis(window) @ terms)
+            assert vals.min() <= halving_search(terms)[1] + 1e-12
+            direct = _root_max(self.rotated_squares(u, k, i, j, window, stacked, ranks))
+            assert abs(direct.min() - vals.min()) <= 1e-10
+            chosen.append(float(window[vals.argmin()]))
+        assert planes and accepted
+        assert all(theta == chosen[pos] for pos, theta in accepted)
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_arithmetic_progressions_stay_below_disc(self, n):
