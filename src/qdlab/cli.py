@@ -116,9 +116,11 @@ def render_report(report: ExperimentReport, fmt: str) -> str:
 
 def _binomial_cdf_root(k: int, n: int, target: float) -> float:
     """The p with P(Bin(n, p) <= k) = target, for 0 <= k < n, by bisection
-    to the last bit; the CDF falls strictly in p and is summed in log space."""
+    to the last bit; the CDF falls strictly in p and is summed in log space.
+    log C(n, j) is the running sum of log((n - i) / (i + 1)) over i < j,
+    whose error grows far slower with n than a difference of lgammas."""
     j = np.arange(k + 1)
-    log_coef = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in j])
+    log_coef = np.concatenate(([0.0], np.cumsum(np.log((n - j[:-1]) / (j[:-1] + 1)))))
     lo, hi = 0.0, 1.0
     while lo < (p := 0.5 * (lo + hi)) < hi:
         log_pmf = log_coef + j * math.log(p) + (n - j) * math.log1p(-p)
@@ -157,7 +159,6 @@ _COMMON = {
     "seed": Option(None, "master seed (mandatory for stochastic subcommands)", int),
     "out": Option(None, "report output path (default: stdout)"),
     "format": Option("csv", "report format (default csv)", choices=("csv", "json")),
-    "threads": Option(1, "accepted for compatibility; every run is serial"),
 }
 
 _SCHEMAS: dict[str, dict[str, Option]] = {

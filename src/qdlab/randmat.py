@@ -263,13 +263,17 @@ _pow = np.frompyfunc(math.pow, 2, 1)
 def moment_gates(n: int, trials: int, seed, all_ranks: bool = False) -> list[MomentGate]:
     """Monte Carlo estimates of every exact-moment formula at dimension n.
 
-    Per trial one Haar unitary feeds four families of statistics:
+    Per trial one Haar unitary U and the random coloring chi = U D U* feed
+    four families of statistics:
 
-      * tr(chi P_r) and tr((chi P_r)^2) for random colorings chi = U D U*
-        against fixed diagonal projections of rank r (r = floor(n/2), or all
-        ranks when all_ranks is set);
-      * tr((chi_k P)^2) for fixed sorted colorings with k plus eigenvalues
-        against random projections P = U Pi U* of rank floor(n/2);
+      * tr(chi P_r) and tr((chi P_r)^2) against fixed diagonal projections
+        of rank r (r = floor(n/2), or all ranks when all_ranks is set);
+      * tr((chi_k P)^2) for the fixed sorted coloring chi_k with k plus
+        eigenvalues against P = (chi + I)/2 of rank r0 = floor(n/2). Per draw
+        it is tr((P_k chi)^2) + r0 - k (they are r0 - 4c and k - 4c, with c
+        the sum of |P_pq|^2 over p < k <= q), so it is gated only where no
+        tr((chi P_k)^2) gate repeats it: k = r0 + 1 for n >= 3, none with
+        all_ranks;
       * the second moment of tr(chi P_r), against the closed-form variance;
       * the four degree-4 entry moments of U itself.
     """
@@ -281,24 +285,18 @@ def moment_gates(n: int, trials: int, seed, all_ranks: bool = False) -> list[Mom
     d = coloring_spectrum(n)
     r0 = n // 2
     ranks = list(range(n + 1)) if all_ranks else [r0]
-    fixed_ks = list(range(n + 1)) if all_ranks else [r0] + ([r0 + 1] if n >= 3 else [])
+    fixed_ks = [] if all_ranks or n < 3 else [r0 + 1]
+    corners = ranks + fixed_ks
 
     t1 = np.empty((trials, len(ranks)))
-    t2 = np.empty((trials, len(ranks)))
-    eq18 = np.empty((trials, len(fixed_ks)))
+    t2 = np.empty((trials, len(corners)))
     m4 = np.empty((trials, 4))  # columns in the field order of HaarFourthMoments
     for rows, u in _haar_chunks(rng, trials, n):
         chi = conjugate_diagonal(u, d)
         diag_cum = np.zeros((u.shape[0], n + 1))
         diag_cum[:, 1:] = np.cumsum(np.diagonal(chi, axis1=1, axis2=2).real, axis=1)
         t1[rows] = diag_cum[:, ranks]
-        t2[rows] = _corner_sums(chi)[:, ranks, ranks]
-        frame = u[:, :, :r0]
-        pcorner = _corner_sums(frame @ frame.conj().swapaxes(1, 2))
-        plus = pcorner[:, fixed_ks, fixed_ks]
-        cross = pcorner[:, fixed_ks, n] - plus
-        minus = pcorner[:, n, n, None] - plus - 2 * cross
-        eq18[rows] = plus + minus - 2 * cross
+        t2[rows] = _corner_sums(chi)[:, corners, corners]
         a00, a01, a11 = np.abs(u[:, 0, 0]), np.abs(u[:, 0, 1]), np.abs(u[:, 1, 1])
         m4[rows, :3] = _pow(np.stack([a00, a00 * a01, a00 * a11], axis=1), [4.0, 2.0, 2.0])
         # U_00 U_11 conj(U_10) conj(U_01) factor by factor on real and imaginary
@@ -316,9 +314,9 @@ def moment_gates(n: int, trials: int, seed, all_ranks: bool = False) -> list[Mom
     second = exact_variance_trace(n, r0) + exact_mean_trace(n, r0) ** 2
     col0 = ranks.index(r0)
     gates.append(_gate("trace_second_moment", n, r0, second, t1[:, col0] ** 2))
-    for col, k in enumerate(fixed_ks):
+    for col, k in enumerate(fixed_ks, start=len(ranks)):
         exact = exact_mean_trace_sq_fixed_coloring(n, 2 * k - n)
-        gates.append(_gate("mean_trace_sq_fixed", n, k, exact, eq18[:, col]))
+        gates.append(_gate("mean_trace_sq_fixed", n, k, exact, t2[:, col] + (r0 - k)))
     for col, (name, exact) in enumerate(asdict(haar_fourth_moments(n)).items()):
         gates.append(_gate(name, n, 0, exact, m4[:, col]))
     return gates

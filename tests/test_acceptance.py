@@ -288,10 +288,9 @@ def test_criterion_12_cli_determinism(tmp_path):
         outs = []
         for run in range(2):
             path = tmp_path / f"case{idx}_{run}.csv"
-            code = main([*argv, "--threads", "1", "--out", str(path)])
+            code = main([*argv, "--out", str(path)])
             assert code == 0, f"{argv} exited {code}"
             outs.append(path.read_bytes())
         identical.append(outs[0] == outs[1])
     _report(12, all(identical),
-            f"byte-identical replay for {len(DETERMINISM_CASES)} stochastic subcommand "
-            f"configs at --threads 1")
+            f"byte-identical replay for {len(DETERMINISM_CASES)} stochastic subcommand configs")

@@ -31,6 +31,13 @@ def reference_haar(rng, n):
     return q * (d / np.abs(d))
 
 
+def corner_table(a):
+    """The (N+1, N+1) table of sums of |a_pq|^2 over p < i and q < j."""
+    out = np.zeros((a.shape[0] + 1, a.shape[1] + 1))
+    out[1:, 1:] = (np.abs(a) ** 2).cumsum(axis=0).cumsum(axis=1)
+    return out
+
+
 def reference_gate_inputs(n, trials, seed, all_ranks):
     """The (name, n, param, exact, samples) arguments of every gate of
     moment_gates, with the samples computed one trial at a time: the oracle
@@ -39,28 +46,21 @@ def reference_gate_inputs(n, trials, seed, all_ranks):
     d = coloring_spectrum(n)
     r0 = n // 2
     ranks = list(range(n + 1)) if all_ranks else [r0]
-    fixed_ks = list(range(n + 1)) if all_ranks else [r0] + ([r0 + 1] if n >= 3 else [])
+    fixed_ks = [] if all_ranks or n < 3 else [r0 + 1]
     t1 = np.empty((trials, len(ranks)))
     t2 = np.empty((trials, len(ranks)))
-    eq18 = np.empty((trials, len(fixed_ks)))
+    fixed = np.empty((trials, len(fixed_ks)))
     m4 = np.empty((trials, 4))
     for t in range(trials):
         u = reference_haar(rng, n)
         chi = (u * d) @ u.conj().T
         diag_cum = np.concatenate(([0.0], np.cumsum(chi.diagonal().real)))
-        corner = np.zeros((n + 1, n + 1))
-        corner[1:, 1:] = (np.abs(chi) ** 2).cumsum(axis=0).cumsum(axis=1)
+        corner = corner_table(chi)
         for col, r in enumerate(ranks):
             t1[t, col] = diag_cum[r]
             t2[t, col] = corner[r, r]
-        proj = u[:, :r0] @ u[:, :r0].conj().T
-        pcorner = np.zeros((n + 1, n + 1))
-        pcorner[1:, 1:] = (np.abs(proj) ** 2).cumsum(axis=0).cumsum(axis=1)
         for col, k in enumerate(fixed_ks):
-            plus = pcorner[k, k]
-            cross = pcorner[k, n] - pcorner[k, k]
-            minus = pcorner[n, n] - plus - 2 * cross
-            eq18[t, col] = plus + minus - 2 * cross
+            fixed[t, col] = corner[k, k] + (r0 - k)
         m4[t, 0] = np.abs(u[0, 0]) ** 4
         m4[t, 1] = (np.abs(u[0, 0]) * np.abs(u[0, 1])) ** 2
         m4[t, 2] = (np.abs(u[0, 0]) * np.abs(u[1, 1])) ** 2
@@ -72,7 +72,7 @@ def reference_gate_inputs(n, trials, seed, all_ranks):
     second = exact_variance_trace(n, r0) + exact_mean_trace(n, r0) ** 2
     inputs.append(("trace_second_moment", n, r0, second, t1[:, ranks.index(r0)] ** 2))
     for col, k in enumerate(fixed_ks):
-        inputs.append(("mean_trace_sq_fixed", n, k, exact_mean_trace_sq_fixed_coloring(n, 2 * k - n), eq18[:, col]))
+        inputs.append(("mean_trace_sq_fixed", n, k, exact_mean_trace_sq_fixed_coloring(n, 2 * k - n), fixed[:, col]))
     fm = haar_fourth_moments(n)
     inputs.append(("abs_fourth", n, 0, fm.abs_fourth, m4[:, 0]))
     inputs.append(("abs_shared_index", n, 0, fm.abs_shared_index, m4[:, 1]))
@@ -182,6 +182,33 @@ class TestExactMoments:
         assert exact_mean_trace_sq_fixed_coloring(2, 2) == pytest.approx(1.0)
         with pytest.raises(ValidationError):
             exact_mean_trace_sq_fixed_coloring(4, 1)  # parity violation
+
+    def test_fixed_coloring_is_a_shifted_rank_moment(self):
+        for n in range(2, 65):
+            for k in range(n + 1):
+                shifted = exact_mean_trace_sq(n, k) + n // 2 - k
+                assert exact_mean_trace_sq_fixed_coloring(n, 2 * k - n) == pytest.approx(shifted, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_fixed_coloring_identity_per_draw(self, n):
+        # With P = U Pi U* = (chi + I)/2 and chi_k = diag(+1 x k, -1 x (n-k)),
+        # tr((chi_k P)^2) is the plus and minus blocks of P's |entry|^2 less
+        # twice the cross block, and also the P_k corner of chi plus r0 - k.
+        rng = np.random.default_rng((13, n))
+        r0 = n // 2
+        for _ in range(20):
+            u = reference_haar(rng, n)
+            chi = (u * coloring_spectrum(n)) @ u.conj().T
+            proj = u[:, :r0] @ u[:, :r0].conj().T
+            corner, pcorner = corner_table(chi), corner_table(proj)
+            for k in range(n + 1):
+                chi_k = np.diag(np.where(np.arange(n) < k, 1.0, -1.0))
+                direct = np.trace(chi_k @ proj @ chi_k @ proj).real
+                plus = pcorner[k, k]
+                cross = pcorner[k, n] - plus
+                minus = pcorner[n, n] - plus - 2 * cross
+                assert plus + minus - 2 * cross == pytest.approx(direct, abs=1e-12)
+                assert corner[k, k] + r0 - k == pytest.approx(direct, abs=1e-12)
 
     def test_commutator_term_bounds(self):
         for n in range(2, 9):
