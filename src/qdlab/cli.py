@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .combdisc import disc_exact, disc_heuristic
+from .combdisc import DEFAULT_EXHAUSTIVE_CAP, disc_exact, disc_heuristic
 from .concentration import comparison_check, lower_bound_constants
 from .dpp import exact_distribution, sample_many, sample_masks, size_pmf, validate_kernel
 from .errors import GroundSetTooLarge, QdlabError, ValidationError
@@ -161,6 +161,8 @@ _COMMON = {
     "format": Option("csv", "report format (default csv)", choices=("csv", "json")),
 }
 
+_CAP = Option(DEFAULT_EXHAUSTIVE_CAP, f"exhaustive enumeration cap (default {DEFAULT_EXHAUSTIVE_CAP})")
+
 _SCHEMAS: dict[str, dict[str, Option]] = {
     "disc": {
         "input": Option(None, "set-system JSON file {'n':..,'sets':[[..]]}"),
@@ -169,7 +171,7 @@ _SCHEMAS: dict[str, dict[str, Option]] = {
         "random_m": Option(None, "random system set count", int),
         "heuristic": Option(False, "restart search instead of exhaustive"),
         "trials": Option(64, "heuristic restarts"),
-        "cap": Option(24, "exhaustive enumeration cap (default 24)"),
+        "cap": _CAP,
     },
     "qdisc": {
         "input": Option(None, "set-system or projection-system JSON file"),
@@ -213,7 +215,7 @@ _SCHEMAS: dict[str, dict[str, Option]] = {
         "random_m": Option(12),
         "restarts": Option(2),
         "sweeps": Option(1),
-        "cap": Option(24),
+        "cap": _CAP,
     },
     "haar": {
         "n_grid": Option([2, 3, 4, 5, 6, 7, 8]),

@@ -2,16 +2,19 @@
 
 Exact minimization enumerates the 2^(N-1) colorings with chi(1) = +1 (the
 objective is invariant under a global sign flip) in lexicographic order of
-the sign vector, in integer arithmetic. The free signs split into a high
-prefix and a low block of up to 12 signs; the per-set sums of every prefix
-and of every low block are tabulated once, so a block of 2^12 colorings
-costs one add, abs and max per set. A prefix is skipped when its lower
-bound max_S(|prefix sum of S| - |S ∩ low block|) is at least the best value
-found so far. The witness is the lexicographically smallest optimal
-coloring: prefixes are visited in lex order, a block's first minimum is
-taken, only a strictly smaller value replaces the incumbent, and a skipped
-block holds no value below it. A restart + single-flip local search covers
-ground sets beyond the exhaustive cap.
+the sign vector, in int16 arithmetic and bounded memory. The free signs
+split into a high prefix and a low block of L <= 12 signs, with 2^L * M
+capped at a fixed entry budget; the per-set sums of all 2^L low blocks are
+tabulated once. The prefixes are walked depth first, each depth holding the
+per-set sums of its fixed signs, and a subtree is pruned when its lower
+bound max_S(|partial sum of S| - |S ∩ free signs|) is at least the best
+value found so far. A leaf scores its 2^L colorings with one add, abs and
+max per set into a reused buffer, so memory is O(2^L * M + N * M) at any N.
+The witness is the lexicographically smallest optimal coloring: prefixes
+are visited in lex order, a block's first minimum is taken, only a strictly
+smaller value replaces the incumbent, and a pruned subtree holds no value
+below it. A restart + single-flip local search covers ground sets beyond
+the exhaustive cap.
 """
 
 from __future__ import annotations
@@ -22,22 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateM, GroundSetTooLarge, ValidationError
+from .matcore import BATCH_ENTRIES
 from .setsys import Coloring, SetSystem, incidence_matrix
 
 DEFAULT_EXHAUSTIVE_CAP = 24
-_CHUNK = 1 << 15
-_LOW_BITS = 12  # colorings per enumeration block: 2^_LOW_BITS
-
-
-def _sign_sums(cols: np.ndarray, offset) -> np.ndarray:
-    """Per-set sums offset + cols @ signs for every sign vector over the
-    columns of cols, one row per vector in lexicographic order (-1 < +1,
-    first column most significant)."""
-    width = cols.shape[1]
-    ks = np.arange(1 << width, dtype=np.int64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    signs = 2 * ((ks[:, None] >> shifts[None, :]) & 1) - 1
-    return (signs @ cols.T + offset).astype(np.int16)  # |chi(S)| <= N
+_CHUNK = 1 << 15  # most colorings drawn at once
+_LOW_BITS = 12  # at most 2^_LOW_BITS colorings per enumeration block
+_BLOCK_ENTRIES = 64 * BATCH_ENTRIES  # cap on the entries of one coloring x set table
 
 
 def disc_exact(system: SetSystem, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> tuple[int, Coloring]:
@@ -49,24 +43,49 @@ def disc_exact(system: SetSystem, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> tuple[in
     n = system.ground_size
     if n > cap:
         raise GroundSetTooLarge(f"ground set of size {n} exceeds the exhaustive cap {cap}")
-    a = incidence_matrix(system)
-    h = max(0, n - 1 - _LOW_BITS)  # high-prefix signs
-    high = a[:, 1 : 1 + h]
-    low = a[:, 1 + h :]
-    high_sums = _sign_sums(high, a[:, 0])  # chi(1) fixed to +1
-    low_sums = _sign_sums(low, 0)
-    # |chi(S)| >= |high part| - |S ∩ low| for every completion of a prefix
-    bounds = (np.abs(high_sums) - low.sum(axis=1)[None, :]).max(axis=1)
+    cols = np.ascontiguousarray(incidence_matrix(system).T, dtype=np.int16)  # |chi(S)| <= N
+    m = cols.shape[1]
+    low_bits = max(0, min(_LOW_BITS, n - 1, (_BLOCK_ENTRIES // m).bit_length() - 1))
+    h = n - 1 - low_bits  # high-prefix signs
+    # per-set sums of every low block in lex order, built by doubling: each
+    # earlier sign becomes the most significant bit
+    low = np.zeros((1 << low_bits, m), dtype=np.int16)
+    for j in range(n - 1, h, -1):
+        size = 1 << (n - 1 - j)
+        np.add(low[:size], cols[j], out=low[size : 2 * size])
+        low[:size] -= cols[j]
+    scores = np.empty_like(low)
+    values = np.empty(low.shape[0], dtype=np.int16)
+    # free[d] = |S ∩ {d + 2, ..., N}|, the signs still free at depth d
+    free = (cols.sum(axis=0) - np.cumsum(cols, axis=0)[: h + 1]).astype(np.int16)
+    partial = np.empty((h + 1, m), dtype=np.int16)  # per-set sums of the fixed signs
+    partial[0] = cols[0]  # chi(1) fixed to +1
+    slack = np.empty(m, dtype=np.int16)
     best_val = n + 1  # above every |chi(S)|
     best_k = 0
-    for p in range(high_sums.shape[0]):
-        if bounds[p] >= best_val:
-            continue  # no coloring in this block beats the incumbent
-        values = np.abs(low_sums + high_sums[p]).max(axis=1)
-        q = int(values.argmin())  # first occurrence = lex-smallest in block
-        if values[q] < best_val:
-            best_val = int(values[q])
-            best_k = (p << (n - 1 - h)) | q
+
+    def walk(d: int, prefix: int) -> None:
+        # |chi(S)| >= |partial sum of S| - |S ∩ free signs| for every completion
+        nonlocal best_val, best_k
+        np.abs(partial[d], out=slack)
+        np.subtract(slack, free[d], out=slack)
+        if slack.max() >= best_val:
+            return  # no coloring in this subtree beats the incumbent
+        if d == h:
+            np.add(low, partial[d], out=scores)
+            np.abs(scores, out=scores)
+            scores.max(axis=1, out=values)
+            q = int(values.argmin())  # first occurrence = lex-smallest in block
+            if values[q] < best_val:
+                best_val = int(values[q])
+                best_k = (prefix << low_bits) | q
+            return
+        np.subtract(partial[d], cols[d + 1], out=partial[d + 1])
+        walk(d + 1, 2 * prefix)
+        np.add(partial[d], cols[d + 1], out=partial[d + 1])
+        walk(d + 1, 2 * prefix + 1)
+
+    walk(0, 0)
     bits = (best_k >> np.arange(n - 2, -1, -1, dtype=np.int64)) & 1
     witness = Coloring(np.concatenate(([1], 2 * bits - 1)).astype(int))
     return best_val, witness
@@ -102,8 +121,10 @@ def random_coloring_satisfaction(system: SetSystem, trials: int, seed) -> Random
     a = incidence_matrix(system).astype(np.float64)
     rng = np.random.default_rng(seed)
     successes = 0
-    for start in range(0, trials, _CHUNK):
-        count = min(_CHUNK, trials - start)
+    # splitting the draw into chunks leaves the stream of signs unchanged
+    chunk = max(1, min(_CHUNK, _BLOCK_ENTRIES // max(a.shape)))
+    for start in range(0, trials, chunk):
+        count = min(chunk, trials - start)
         signs = rng.integers(0, 2, size=(count, system.ground_size)) * 2.0 - 1.0
         sums = signs @ a.T
         successes += int(np.count_nonzero((np.abs(sums) <= thresholds[None, :]).all(axis=1)))

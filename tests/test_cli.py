@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdlab import arithmetic_progressions, disc_exact, matrix_to_json
+from qdlab import DEFAULT_EXHAUSTIVE_CAP, arithmetic_progressions, disc_exact, matrix_to_json
 from qdlab.cli import _SCHEMAS, EXIT_GATE, EXIT_USAGE, EXIT_VALIDATION, _binomial_ci, main
 from qdlab.setsys import MAX_DENSE_ENTRIES, MAX_GROUND_SIZE, MAX_SET_COUNT, check_dense_size
 
@@ -115,6 +115,12 @@ class TestDisc:
         code, _ = run(tmp_path, "d.csv", "disc", "--random-n", "30", "--random-m", "3",
                       "--seed", "1", "--cap", "24")
         assert code == EXIT_VALIDATION
+
+    def test_cap_defaults_to_the_library_constant(self):
+        for name in ("disc", "compare"):
+            option = _SCHEMAS[name]["cap"]
+            assert option.default == DEFAULT_EXHAUSTIVE_CAP
+            assert f"(default {DEFAULT_EXHAUSTIVE_CAP})" in option.help
 
     def test_heuristic_at_least_exact(self, tmp_path):
         code, text = run(tmp_path, "d.csv", "disc", "--ap", "7", "--heuristic",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,19 +94,84 @@ def lex_min_oracle(system):
     return int(values[k]), tuple(signs[k])
 
 
+def block_reference(system):
+    """Value and lex-smallest optimal witness with chi(1) = +1 by the former
+    block algorithm: the int64 per-set sums of every high prefix and of
+    every low block of up to 12 signs, tabulated at once, with a
+    prefix skipped when max_S(|prefix sum| - |S ∩ low block|) is at least
+    the incumbent."""
+    n = system.ground_size
+    a = incidence_matrix(system)
+
+    def sign_sums(cols, offset):
+        width = cols.shape[1]
+        ks = np.arange(1 << width, dtype=np.int64)
+        signs = 2 * ((ks[:, None] >> np.arange(width - 1, -1, -1)) & 1) - 1
+        return signs @ cols.T + offset
+
+    h = max(0, n - 1 - 12)
+    high_sums = sign_sums(a[:, 1 : 1 + h], a[:, 0])
+    low = a[:, 1 + h :]
+    low_sums = sign_sums(low, 0)
+    bounds = (np.abs(high_sums) - low.sum(axis=1)).max(axis=1)
+    best_val, best_k = n + 1, 0
+    for p in range(high_sums.shape[0]):
+        if bounds[p] >= best_val:
+            continue
+        values = np.abs(low_sums + high_sums[p]).max(axis=1)
+        q = int(values.argmin())
+        if values[q] < best_val:
+            best_val, best_k = int(values[q]), (p << (n - 1 - h)) | q
+    bits = (best_k >> np.arange(n - 2, -1, -1)) & 1
+    return best_val, tuple(np.concatenate(([1], 2 * bits - 1)).tolist())
+
+
+def random_system(rng, n, m, density=(0.1, 0.9)):
+    mask = rng.random((m, n)) < rng.uniform(*density)
+    return SetSystem(n, tuple(tuple(int(j + 1) for j in np.flatnonzero(r)) for r in mask))
+
+
 class TestDiscExactBlocks:
-    """disc_exact enumerates blocks of 2^12 colorings under a high prefix;
-    N = 13..17 gives prefixes of 0 to 4 signs."""
+    """disc_exact walks the high-prefix signs depth first and scores a low
+    block of up to 2^12 colorings at each leaf; the block shrinks below 12
+    bits once 2^12 * M passes the entry budget (M > 256). Both the
+    brute-force oracle and the former block algorithm must agree with it on
+    value and witness."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_oracle(self, seed):
         rng = np.random.default_rng((4321, seed))
-        n = 13 + seed % 5
-        m = int(rng.integers(1, 40))
-        mask = rng.random((m, n)) < rng.uniform(0.1, 0.9)
-        system = SetSystem(n, tuple(tuple(int(j + 1) for j in np.flatnonzero(r)) for r in mask))
+        system = random_system(rng, 13 + seed % 5, int(rng.integers(1, 40)))
         value, witness = disc_exact(system)
         assert (value, tuple(witness.signs)) == lex_min_oracle(system)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_ap_matches_block_reference(self, n):
+        system = arithmetic_progressions(n)
+        value, witness = disc_exact(system)
+        assert (value, tuple(witness.signs)) == block_reference(system)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_matches_block_reference(self, seed):
+        # N = 1, 2 and 13 are the edges of the split; M from 300 to 1200
+        # shrinks the low block to 11 down to 9 bits
+        rng = np.random.default_rng((8642, seed))
+        n = (1, 2, 13, 14, 16, 18)[seed % 6]
+        m = int(rng.integers(300, 1200)) if seed // 6 % 2 == 0 else int(rng.integers(1, 60))
+        system = random_system(rng, n, m)
+        value, witness = disc_exact(system)
+        assert (value, tuple(witness.signs)) == block_reference(system)
+        if n <= 16 and m < 60:
+            assert (value, tuple(witness.signs)) == lex_min_oracle(system)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_sparse_matches_block_reference(self, seed):
+        # small sets leave many signs free below a prefix, where an invalid
+        # pruning bound would cut off the optimum
+        rng = np.random.default_rng((4242, seed))
+        system = random_system(rng, 13 + seed % 6, int(rng.integers(1, 60)), density=(0.05, 0.3))
+        value, witness = disc_exact(system)
+        assert (value, tuple(witness.signs)) == block_reference(system)
 
     @pytest.mark.parametrize(
         "system",
@@ -115,6 +181,8 @@ class TestDiscExactBlocks:
             SetSystem(15, ((), (2, 5, 9), (1, 14, 15), (3,))),
             SetSystem(16, (tuple(range(1, 17)),)),
             SetSystem(15, (tuple(range(1, 16)),)),
+            SetSystem(2, ((), (2,))),
+            SetSystem(13, (tuple(range(1, 14)), (1, 13))),
         ],
     )
     def test_edge_systems(self, system):
@@ -132,6 +200,26 @@ class TestDiscExactBlocks:
         assert witness.signs.tolist() == [
             1, -1, -1, 1, -1, 1, -1, -1, 1, -1, 1, 1, 1, -1, -1, -1, 1, 1, -1, 1, -1, 1, 1, -1
         ]
+
+    def test_ap28_in_bounded_memory(self):
+        system = arithmetic_progressions(28)
+        tracemalloc.start()
+        try:
+            value, witness = disc_exact(system, cap=28)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 4
+        assert "".join("+" if s > 0 else "-" for s in witness.signs) == "+----+-+-++--++-+-+--+-+-++-"
+        assert peak < 16 * 2**20
+
+    def test_ap32_disc_four(self):
+        # the witness attains 4, and AP(28)'s sets (disc 4) are sets of AP(32)
+        system = arithmetic_progressions(32)
+        value, witness = disc_exact(system, cap=32)
+        assert value == 4
+        assert max(abs(v) for v in evaluate_coloring(system, witness)) == 4
+        assert set(arithmetic_progressions(28).sets) <= set(system.sets)
 
 
 class TestRandomColoringBound:
@@ -155,6 +243,17 @@ class TestRandomColoringBound:
         a = random_coloring_satisfaction(system, 2000, 9)
         b = random_coloring_satisfaction(system, 2000, 9)
         assert a.successes == b.successes
+
+    def test_chunks_keep_the_stream(self):
+        # at M = 2048 a chunk holds 512 colorings; the chunked draws must
+        # equal one draw of all trials
+        system = random_set_system(64, 2048, 31)
+        probe = random_coloring_satisfaction(system, 1300, 8)
+        signs = np.random.default_rng(8).integers(0, 2, size=(1300, 64)) * 2.0 - 1.0
+        sums = np.abs(signs @ incidence_matrix(system).T)
+        expected = int(np.count_nonzero((sums <= probe.thresholds).all(axis=1)))
+        assert probe.successes == expected
+        assert 0 < expected < 1300
 
     def test_random_coloring_lemma_rate(self):
         # the all-sets event has probability >= 1/2 for the uniform coloring
