@@ -267,10 +267,29 @@ def _plus_terms(b: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return t1, (2.0 * t1 - ranks) ** 2 + 4.0 * (t1 - t2)
 
 
+def _unit_rows(u: np.ndarray) -> np.ndarray | None:
+    """The rows o with column l of u equal to e_o[l], when every entry of u is
+    exactly 0 or 1 and every column holds one 1; None for any other u."""
+    rows = u.real.argmax(axis=0)
+    if np.count_nonzero(u) != u.shape[1] or not (u[rows, np.arange(u.shape[1])] == 1).all():
+        return None
+    return rows
+
+
+def _dense_rotated(u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    return np.einsum("al,mab,bk->mlk", u.conj(), stacked, u, optimize=True)
+
+
+def _rotated(u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """U* P_m U for every m. At a selection U (every permutation start) each
+    entry is one P_ab times 1 plus exact zeros, so the gather of rows and
+    columns o is the product exactly, without the dense temporaries."""
+    rows = _unit_rows(u)
+    return _dense_rotated(u, stacked) if rows is None else stacked[:, rows[:, None], rows]
+
+
 def _plus_value(u: np.ndarray, k: int, stacked: np.ndarray, ranks: np.ndarray) -> float:
-    uplus = u[:, :k]
-    b = np.einsum("al,mab,bk->mlk", uplus.conj(), stacked, uplus, optimize=True)
-    return float(_root_max(_plus_terms(b, ranks)[1]))
+    return float(_root_max(_plus_terms(_rotated(u[:, :k], stacked), ranks)[1]))
 
 
 def _angle_basis(theta: np.ndarray) -> np.ndarray:
@@ -294,7 +313,7 @@ class _PlaneSearch:
         self.u = u.copy()
         self.k = k
         self.ranks = ranks
-        self.w = np.einsum("al,mab,bk->mlk", u.conj(), stacked, u, optimize=True)
+        self.w = _rotated(u, stacked)
         self.t1, self.v0 = _plus_terms(self.w[:, :k, :k], ranks)
 
     def plane_terms(self, i: int, j: int) -> np.ndarray:
@@ -369,18 +388,19 @@ def _diagonal_sets(stacked: np.ndarray) -> list[tuple[int, ...]] | None:
     return [tuple(int(i + 1) for i in np.flatnonzero(row.real > 0.5)) for row in diag]
 
 
-def _combinatorial_candidate(system: ProjectionSystem, seed) -> np.ndarray | None:
+def _combinatorial_candidate(stacked: np.ndarray, seed) -> np.ndarray | None:
     """For diagonally embedded set systems, the best deterministic +-1
     coloring is itself a quantum coloring; seed the search with it so the
     estimate never exceeds the combinatorial discrepancy."""
-    sets = _diagonal_sets(system.stacked())
+    sets = _diagonal_sets(stacked)
     if sets is None:
         return None
+    n = stacked.shape[-1]
     nonempty = [s for s in sets if s]
     if not nonempty:
-        return np.ones(system.dim)
-    sub = SetSystem(system.dim, tuple(nonempty))
-    if system.dim <= DEFAULT_EXHAUSTIVE_CAP:
+        return np.ones(n)
+    sub = SetSystem(n, tuple(nonempty))
+    if n <= DEFAULT_EXHAUSTIVE_CAP:
         _, witness = disc_exact(sub)
     else:
         _, witness = disc_heuristic(sub, trials=32, seed=seed)
@@ -424,7 +444,7 @@ def qdisc_estimate(
             u = np.eye(n, dtype=np.complex128) if ridx == 0 else randmat.haar_unitary(n, rng)
             candidates.append((_plus_value(u, k, stacked, ranks), u, k, rng))
 
-    witness_signs = _combinatorial_candidate(system, k_children[n + 1])
+    witness_signs = _combinatorial_candidate(stacked, k_children[n + 1])
     if witness_signs is not None:
         u, k = _permutation_unitary_for_signs(witness_signs)
         rng = np.random.default_rng(k_children[n + 1].spawn(1)[0])

@@ -32,7 +32,16 @@ from qdlab import (
 )
 from qdlab.errors import DegenerateDim, DimMismatch, RankMismatch, ValidationError
 from qdlab.matcore import conjugate_diagonal, trace_pair
-from qdlab.qdisc import ANGLE_GRID, _angle_basis, _objective_values, _PlaneSearch, _root_max
+from qdlab.qdisc import (
+    ANGLE_GRID,
+    _angle_basis,
+    _objective_values,
+    _permutation_unitary_for_signs,
+    _PlaneSearch,
+    _root_max,
+    _rotated,
+    _unit_rows,
+)
 
 from conftest import random_unit_vector
 
@@ -427,6 +436,81 @@ class TestPlaneSearch:
         assert runs[0].value <= disc
         assert runs[0].value == runs[1].value
         assert np.array_equal(runs[0].witness.array, runs[1].witness.array)
+
+
+def rotated_cases():
+    """(id, projection system, +-1 signs): the AP systems with their disc_exact
+    witness, the random ones with random signs."""
+    cases = []
+    for n in (*range(6, 13), 20):
+        system = arithmetic_progressions(n)
+        cases.append((f"ap{n}", to_projection_system(system), disc_exact(system)[1].signs.astype(float)))
+    for n, m in ((8, 12), (24, 96)):
+        signs = np.random.default_rng((80, n)).choice([-1.0, 1.0], size=n)
+        cases.append((f"random{n}x{m}", random_projection_system(n, m, (81, n)), signs))
+    return cases
+
+
+ROTATED_CASES = rotated_cases()
+
+
+def dense_rotated(u, stacked):
+    return np.einsum("al,mab,bk->mlk", u.conj(), stacked, u, optimize=True)
+
+
+class TestRotatedStack:
+    """U* P_m U is a gather at selection matrices, the dense product else."""
+
+    @pytest.mark.parametrize("system, signs", [c[1:] for c in ROTATED_CASES], ids=[c[0] for c in ROTATED_CASES])
+    def test_gather_equals_dense_product_on_selections(self, system, signs):
+        n, stacked = system.dim, system.stacked()
+        rng = np.random.default_rng((82, n))
+        eye = np.eye(n, dtype=np.complex128)
+        starts = [eye, _permutation_unitary_for_signs(signs)[0]] + [eye[:, rng.permutation(n)] for _ in range(2)]
+        for u in starts:
+            for k in range(n + 1):
+                uk = u[:, :k]
+                assert np.array_equal(_unit_rows(uk), np.nonzero(uk.T)[1])
+                assert np.array_equal(_rotated(uk, stacked), dense_rotated(uk, stacked))
+
+    @pytest.mark.parametrize("system, signs", [c[1:] for c in ROTATED_CASES], ids=[c[0] for c in ROTATED_CASES])
+    def test_other_matrices_take_the_dense_product(self, system, signs):
+        n, stacked = system.dim, system.stacked()
+        perm = np.eye(n, dtype=np.complex128)[:, np.random.default_rng((83, n)).permutation(n)]
+        others = [haar_unitary(n, (84, n))]
+        for entry in (-1.0, 1j, 1.0 - 2.0**-52):
+            u = perm.copy()
+            u[np.flatnonzero(u[:, n // 2]), n // 2] = entry
+            others.append(u)
+        for u in others:
+            assert _unit_rows(u) is None
+            assert np.array_equal(_rotated(u, stacked), dense_rotated(u, stacked))
+
+    @pytest.mark.parametrize(
+        "system, kwargs",
+        [(to_projection_system(arithmetic_progressions(n)), dict(restarts=1, sweeps=1, seed=(85, n))) for n in (*range(6, 13), 20)]
+        + [
+            (random_projection_system(24, 96, 86), dict(restarts=1, sweeps=2, seed=87)),
+            (to_projection_system(arithmetic_progressions(9)), dict(restarts=3, sweeps=1, seed=88)),
+        ],
+        ids=[f"ap{n}" for n in (*range(6, 13), 20)] + ["random24x96", "ap9-restarts3"],
+    )
+    def test_same_estimate_without_the_gather(self, monkeypatch, system, kwargs):
+        est = qdisc_estimate(system, **kwargs)
+        monkeypatch.setattr(qdisc, "_unit_rows", lambda u: None)
+        dense = qdisc_estimate(system, **kwargs)
+        assert (est.value, est.plus_count, est.converged) == (dense.value, dense.plus_count, dense.converged)
+        assert np.array_equal(est.witness.array, dense.witness.array)
+
+    def test_permutation_starts_never_form_the_dense_product(self, monkeypatch):
+        """At restarts=1 every start is the identity or the disc_exact witness."""
+
+        def dense_rotated_forbidden(u, stacked):
+            raise AssertionError("a permutation start reached the dense product")
+
+        monkeypatch.setattr(qdisc, "_dense_rotated", dense_rotated_forbidden)
+        est = qdisc_estimate(to_projection_system(arithmetic_progressions(20)), restarts=1, sweeps=1, seed=89)
+        assert est.value <= disc_exact(arithmetic_progressions(20))[0]
 
 
 class TestDeltaThreshold:
