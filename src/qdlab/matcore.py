@@ -49,6 +49,31 @@ def as_complex_array(matrix) -> np.ndarray:
     return np.asarray(getattr(matrix, "array", matrix), dtype=np.complex128)
 
 
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes, with no temporary array."""
+    re, im = x.real, x.imag
+    return np.sqrt(np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im))
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A*)/2 over the last two axes of a matrix or a stack, refusing a
+    matrix too far from Hermitian or whose A + A* is not finite."""
+    # Norms of a scaled to parts in [-1, 1] cannot overflow; the parts are
+    # scaled as reals, since a complex quotient overflows for a subnormal peak.
+    peak = np.maximum(np.abs(a.real).max((-2, -1), keepdims=True), np.abs(a.imag).max((-2, -1), keepdims=True))
+    peak[peak == 0] = 1.0
+    unit = a.real / peak + 1j * (a.imag / peak)
+    rel = 0.5 * _frobenius(unit - unit.conj().swapaxes(-1, -2)) / np.maximum(_frobenius(unit), 1e-300)
+    if (rel > HERMITIAN_REL_TOL).any():
+        raise TooFarFromHermitian(f"anti-Hermitian part has relative Frobenius norm {rel.max():.3e} > "
+                                  f"{HERMITIAN_REL_TOL:g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        twice = a + a.conj().swapaxes(-1, -2)
+    if not np.isfinite(twice).all():
+        raise ValidationError("A + A* is not finite: an entry is not finite or too large to symmetrize")
+    return 0.5 * twice
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
     """An N x N complex matrix symmetrized to (A + A*)/2 at construction."""
@@ -59,20 +84,7 @@ class HermitianMatrix:
         a = np.asarray(self.array, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise NonSquare(f"expected a square matrix with N >= 1, got shape {a.shape}")
-        # Norms of a scaled to parts in [-1, 1] cannot overflow; the parts are
-        # scaled as reals, since a complex quotient overflows for a subnormal peak.
-        peak = max(np.abs(a.real).max(), np.abs(a.imag).max())
-        unit = a.real / peak + 1j * (a.imag / peak) if peak > 0 else a
-        rel = np.linalg.norm(0.5 * (unit - unit.conj().T)) / max(np.linalg.norm(unit), 1e-300)
-        if rel > HERMITIAN_REL_TOL:
-            raise TooFarFromHermitian(
-                f"anti-Hermitian part has relative Frobenius norm {rel:.3e} > {HERMITIAN_REL_TOL:g}"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):
-            twice = a + a.conj().T
-        if not np.isfinite(twice).all():
-            raise ValidationError("A + A* is not finite: an entry is not finite or too large to symmetrize")
-        object.__setattr__(self, "array", _freeze(0.5 * twice))
+        object.__setattr__(self, "array", _freeze(_hermitian_part(a)))
 
     @property
     def dim(self) -> int:
@@ -130,6 +142,26 @@ def spectral_decompose(a) -> SpectralDecomposition:
     return dec
 
 
+def _two_point_counts(h: np.ndarray, lo: float, hi: float, what: str) -> np.ndarray:
+    """The count of eigenvalues hi of each Hermitian matrix over the last two
+    axes, refusing a spectrum outside {lo, hi}: eigenvalues, (A - lo)(A - hi)
+    and tr A are checked, the trace to TRACE_TOL times the trace norm."""
+    lam = np.linalg.eigvalsh(h)
+    dist = np.minimum(np.abs(lam - lo), np.abs(lam - hi))
+    if dist.max() > EIGENVALUE_CLASS_TOL:
+        worst = float(lam.flat[int(dist.argmax())])
+        raise ValidationError(f"eigenvalue {worst!r} of a {what} is not in {{{lo:g}, {hi:g}}}")
+    n = h.shape[-1]
+    # Frobenius norm of (A - lo)(A - hi), computed spectrally.
+    if (np.sqrt(np.sum(((lam - lo) * (lam - hi)) ** 2, axis=-1)) > EIGENVALUE_CLASS_TOL * n).any():
+        raise ValidationError(f"a {what} does not satisfy (A - lo)(A - hi) = 0 with (lo, hi) = ({lo:g}, {hi:g})")
+    count = np.count_nonzero(lam > 0.5 * (lo + hi), axis=-1)
+    gap = np.abs(np.einsum("...ii->...", h).real - (lo * (n - count) + hi * count))
+    if (gap > TRACE_TOL * np.maximum(1, abs(lo) * (n - count) + abs(hi) * count)).any():
+        raise ValidationError(f"the trace of a {what} does not match its spectrum")
+    return count
+
+
 @dataclass(frozen=True)
 class OrthogonalProjection:
     """A Hermitian idempotent with spectrum in {0, 1} and its rank."""
@@ -138,17 +170,7 @@ class OrthogonalProjection:
     rank: int = field(default=-1)
 
     def __post_init__(self):
-        lam = np.linalg.eigvalsh(self.matrix.array)
-        dist = np.minimum(np.abs(lam), np.abs(lam - 1.0))
-        if dist.max() > EIGENVALUE_CLASS_TOL:
-            worst = float(lam[int(dist.argmax())])
-            raise ValidationError(f"eigenvalue {worst!r} of a projection is not in {{0, 1}}")
-        # Frobenius norm of P^2 - P, computed spectrally.
-        if math.sqrt(float(np.sum((lam * lam - lam) ** 2))) > EIGENVALUE_CLASS_TOL * self.matrix.dim:
-            raise ValidationError("matrix is not idempotent")
-        rank = int(np.count_nonzero(lam > 0.5))
-        if abs(self.matrix.trace() - rank) > TRACE_TOL * max(1, rank):
-            raise ValidationError("trace does not match the projection rank")
+        rank = int(_two_point_counts(self.matrix.array, 0.0, 1.0, "projection"))
         if self.rank >= 0 and self.rank != rank:
             raise ValidationError(f"declared rank {self.rank} but spectrum gives {rank}")
         object.__setattr__(self, "rank", rank)
@@ -167,6 +189,38 @@ def as_projection(matrix) -> OrthogonalProjection:
     return OrthogonalProjection(make_hermitian(matrix))
 
 
+def projection_stack(raw) -> tuple[np.ndarray, np.ndarray]:
+    """An (M, N, N) stack of orthogonal projections, read-only, and their int
+    ranks. Each slice is checked and symmetrized as as_projection does a
+    matrix, in chunks of about BATCH_ENTRIES entries so the temporaries stay
+    small. A writeable complex128 array is taken over: validated in place and
+    made read-only. Anything else is converted or copied first."""
+    stack = np.asarray(raw, dtype=np.complex128)
+    if not stack.flags.writeable:
+        stack = stack.copy()
+    if stack.ndim != 3 or len(stack) < 1 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValidationError(f"expected a stack of M >= 1 square matrices with N >= 1, got shape {stack.shape}")
+    ranks = np.empty(len(stack), dtype=int)
+    step = max(1, BATCH_ENTRIES // stack[0].size)
+    for lo in range(0, len(stack), step):
+        chunk = stack[lo : lo + step] = _hermitian_part(stack[lo : lo + step])
+        ranks[lo : lo + step] = _two_point_counts(chunk, 0.0, 1.0, "projection")
+    return _freeze(stack), _freeze(ranks)
+
+
+def projection_views(stack: np.ndarray, ranks: np.ndarray) -> tuple[OrthogonalProjection, ...]:
+    """OrthogonalProjection views of the slices of a projection_stack result,
+    neither checked nor copied again."""
+    return tuple(_unchecked(OrthogonalProjection, matrix=_unchecked(HermitianMatrix, array=a), rank=int(r))
+                 for a, r in zip(stack, ranks))
+
+
+def _unchecked(cls, **fields):
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class QuantumColoring:
     """A Hermitian matrix with all eigenvalues in {-1, +1} (chi^2 = I)."""
@@ -175,17 +229,7 @@ class QuantumColoring:
     plus_count: int = field(default=-1)
 
     def __post_init__(self):
-        lam = np.linalg.eigvalsh(self.matrix.array)
-        dist = np.abs(np.abs(lam) - 1.0)
-        if dist.max() > EIGENVALUE_CLASS_TOL:
-            worst = float(lam[int(dist.argmax())])
-            raise ValidationError(f"eigenvalue {worst!r} of a coloring is not in {{-1, +1}}")
-        if math.sqrt(float(np.sum((lam * lam - 1.0) ** 2))) > EIGENVALUE_CLASS_TOL * self.matrix.dim:
-            raise ValidationError("matrix does not square to the identity")
-        k = int(np.count_nonzero(lam > 0.0))
-        n = self.matrix.dim
-        if abs(self.matrix.trace() - (2 * k - n)) > TRACE_TOL * max(1, n):
-            raise ValidationError("trace does not match the +1 eigenvalue count")
+        k = int(_two_point_counts(self.matrix.array, -1.0, 1.0, "coloring"))
         if self.plus_count >= 0 and self.plus_count != k:
             raise ValidationError(f"declared plus_count {self.plus_count} but spectrum gives {k}")
         object.__setattr__(self, "plus_count", k)

@@ -73,20 +73,24 @@ def random_projection(n: int, seed) -> OrthogonalProjection:
     """P = U Pi U* with Pi projecting onto the first floor(N/2) coordinates."""
     if n < 2:
         raise DegenerateDim(f"random projections need n >= 2, got {n}")
-    u = haar_unitary(n, seed)
-    r = n // 2
-    p = u[:, :r] @ u[:, :r].conj().T
-    return OrthogonalProjection(make_hermitian(p), rank=r)
+    u = haar_unitary(n, seed)[:, : n // 2]
+    return OrthogonalProjection(make_hermitian(u @ u.conj().T), rank=n // 2)
 
 
 def random_projection_system(n: int, m: int, seed) -> ProjectionSystem:
     """M independent random projections; element i is a deterministic
-    function of (seed, i) through spawned child streams."""
+    function of (seed, i) through spawned child streams, and equals
+    random_projection(n, child i)."""
     if m < 1:
         raise ValidationError(f"need m >= 1, got {m}")
     check_dense_size(n, m)
-    children = seed_sequence(seed).spawn(m)
-    return ProjectionSystem(n, tuple(random_projection(n, c) for c in children))
+    if n < 2:
+        raise DegenerateDim(f"random projections need n >= 2, got {n}")
+    stack = np.empty((m, n, n), dtype=np.complex128)
+    for i, child in enumerate(seed_sequence(seed).spawn(m)):
+        u = haar_unitary(n, child)[:, : n // 2]
+        stack[i] = u @ u.conj().T
+    return ProjectionSystem(stack)
 
 
 def random_kernel(n: int, seed) -> DPPKernel:

@@ -7,11 +7,12 @@ Ground-set indices are 1-based everywhere, including serialized form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimMismatch, IndexOutOfRange, ValidationError
-from .matcore import OrthogonalProjection, as_projection, matrix_from_json
+from .matcore import OrthogonalProjection, matrix_from_json, projection_stack, projection_views
 
 # Largest ground set or dimension accepted from JSON. Projection systems are
 # dense N x N arrays, so a larger N cannot be held; qdlab targets a few hundred.
@@ -19,9 +20,9 @@ MAX_GROUND_SIZE = 4096
 # Largest set count M a command line or config file may ask for; the
 # defaults ask for at most 2048 (lbound's m_cap).
 MAX_SET_COUNT = 1 << 16
-# Largest N^2 M of a projection system, which holds M dense N x N complex
-# matrices: 256 MiB per (M, N, N) stack at the cap. The defaults hold at most
-# 2^21 (lbound, N = 32, M = 2048).
+# Largest N^2 M of a projection system, which is one dense complex (M, N, N)
+# stack, built, validated and read in place: 256 MiB at the cap. The defaults
+# hold at most 2^21 (lbound, N = 32, M = 2048).
 MAX_DENSE_ENTRIES = 1 << 24
 
 
@@ -91,31 +92,27 @@ class SetSystem:
         return SetSystem(n, sets)
 
 
-@dataclass(frozen=True)
 class ProjectionSystem:
-    """An ordered family of orthogonal projections sharing one dimension."""
+    """An ordered family of M orthogonal projections on C^N, held as one
+    read-only complex (M, N, N) stack with its int ranks, both validated
+    once at construction. A writeable complex128 stack is taken over, not
+    copied (see matcore.projection_stack)."""
 
-    dim: int
-    projections: tuple[OrthogonalProjection, ...]
-
-    def __post_init__(self):
-        if not self.projections:
-            raise ValidationError("a projection system needs at least one projection")
-        for p in self.projections:
-            if p.dim != self.dim:
-                raise DimMismatch(f"projection of dim {p.dim} in a system of dim {self.dim}")
-        object.__setattr__(self, "projections", tuple(self.projections))
-
-    @property
-    def num_projections(self) -> int:
-        return len(self.projections)
+    def __init__(self, stack):
+        self._stack, self._ranks = projection_stack(stack)
+        self.num_projections, self.dim = self._stack.shape[:2]
 
     def stacked(self) -> np.ndarray:
-        """All projections as one (M, N, N) array, in system order."""
-        return np.stack([p.array for p in self.projections])
+        """All projections as one read-only (M, N, N) array, in system order."""
+        return self._stack
 
     def ranks(self) -> np.ndarray:
-        return np.array([p.rank for p in self.projections], dtype=int)
+        return self._ranks
+
+    @cached_property
+    def projections(self) -> tuple[OrthogonalProjection, ...]:
+        """Each projection on its own, as a view of its slice of the stack."""
+        return projection_views(self._stack, self._ranks)
 
     @staticmethod
     def from_json(data: dict) -> "ProjectionSystem":
@@ -125,7 +122,10 @@ class ProjectionSystem:
             n, raw = _checked_json_size(data["n"]), list(data["projections"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed projection-system JSON: {exc}") from exc
-        return ProjectionSystem(n, tuple(as_projection(matrix_from_json(p)) for p in raw))
+        matrices = [matrix_from_json(p) for p in raw]
+        if any(a.shape != (n, n) for a in matrices):
+            raise DimMismatch(f"every matrix of a system of dim {n} must be {n} x {n}")
+        return ProjectionSystem(matrices)
 
 
 @dataclass(frozen=True)
@@ -183,13 +183,9 @@ def to_projection_system(system: SetSystem) -> ProjectionSystem:
     """Embed each subset S as the diagonal 0/1 projection onto span{e_i : i in S}."""
     n = system.ground_size
     check_dense_size(n, system.num_sets)
-    projs = []
-    for s in system.sets:
-        diag = np.zeros(n, dtype=np.complex128)
-        for i in s:
-            diag[i - 1] = 1.0
-        projs.append(as_projection(np.diag(diag)))
-    return ProjectionSystem(n, tuple(projs))
+    stack = np.zeros((system.num_sets, n, n), dtype=np.complex128)
+    stack[:, range(n), range(n)] = incidence_matrix(system)
+    return ProjectionSystem(stack)
 
 
 def evaluate_coloring(system: SetSystem, coloring: Coloring) -> list[int]:

@@ -261,6 +261,14 @@ class TestUboundLbound:
         assert lines[2] == "n,m,m_requested,regime_ok,estimate,ratio,zeta_scaled"
         assert len(lines) == 3 + 3 + 1  # header lines + three grid rows + summary
 
+    def test_lbound_default_grid(self, tmp_path):
+        # the largest size README states for lbound: N up to 32, M up to m_cap = 2048
+        code, text = run(tmp_path, "l.json", "lbound", "--seed", "1", "--format", "json")
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        assert [r["m"] for r in rows] == [8, 64, 16, 16, 256, 256, 32, 1024, 2048]
+        assert [r["n"] for r in rows] == [8] * 3 + [16] * 3 + [32] * 3
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -496,6 +504,26 @@ _config_values = (
 
 def _config_docs(keys):
     return st.fixed_dictionaries({"seed": _config_values}, optional={k: _config_values for k in keys}) | _config_values
+
+
+class TestProjectionSystemInputEdges:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": -1, "projections": []},
+            {"n": 0, "projections": []},
+            {"n": 2, "projections": [matrix_to_json(np.eye(2)), matrix_to_json(np.eye(3))]},
+            {"n": 3, "projections": [matrix_to_json(np.eye(3)), [[[1, 0]]]]},
+        ],
+    )
+    def test_exit_two_without_traceback(self, tmp_path, capsys, doc):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        code, _ = run(tmp_path, "r.csv", "qdisc", "--seed", "1", "--input", str(path))
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert "validation failure" in err
+        assert "Traceback" not in err
 
 
 class TestFuzzedInput:

@@ -289,11 +289,11 @@ class TestQdiscEstimate:
     def test_rank_one_system_value_one(self):
         rng = np.random.default_rng(4)
         projs = tuple(rank_one(rng, 4) for _ in range(3))
-        est = qdisc_estimate(ProjectionSystem(4, projs), restarts=2, sweeps=1, seed=0)
+        est = qdisc_estimate(ProjectionSystem(np.stack([p.array for p in projs])), restarts=2, sweeps=1, seed=0)
         assert est.value == pytest.approx(1.0, abs=1e-9)
 
     def test_identity_system_even_dim(self):
-        est = qdisc_estimate(ProjectionSystem(4, (as_projection(np.eye(4)),)), restarts=1, sweeps=0, seed=0)
+        est = qdisc_estimate(ProjectionSystem(np.stack([as_projection(np.eye(4)).array])), restarts=1, sweeps=0, seed=0)
         assert est.value == pytest.approx(0.0, abs=1e-10)
 
     def test_never_exceeds_combinatorial_disc(self):
@@ -542,7 +542,7 @@ class TestDeltaThreshold:
 class TestDeltaEvent:
     def test_rank_one_always_satisfied_for_small_c(self):
         rng = np.random.default_rng(9)
-        system = ProjectionSystem(2, (rank_one(rng, 2),))
+        system = ProjectionSystem(np.stack([rank_one(rng, 2).array]))
         for seed in range(10):
             chi = random_quantum_coloring(2, (12, seed))
             rec = check_delta_event(system, chi, c=1.0)

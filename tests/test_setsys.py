@@ -8,12 +8,17 @@ from qdlab import (
     ProjectionSystem,
     SetSystem,
     arithmetic_progressions,
+    as_projection,
     evaluate_coloring,
     incidence_matrix,
+    matrix_to_json,
+    random_projection,
+    random_projection_system,
     random_set_system,
     to_projection_system,
 )
 from qdlab.errors import DimMismatch, IndexOutOfRange, ValidationError
+from qdlab.matcore import BATCH_ENTRIES, seed_sequence
 from qdlab.setsys import MAX_GROUND_SIZE
 
 
@@ -95,6 +100,110 @@ class TestProjectionEmbedding:
         for p in ps.projections:
             off = p.array - np.diag(p.array.diagonal())
             assert np.abs(off).max() == 0.0
+
+
+def diagonal_embedding(system):
+    """Oracle: each set as its own validated np.diag projection."""
+    projs = []
+    for s in system.sets:
+        diag = np.zeros(system.ground_size, dtype=np.complex128)
+        diag[[i - 1 for i in s]] = 1.0
+        projs.append(as_projection(np.diag(diag)))
+    return projs
+
+
+class TestProjectionStack:
+    @pytest.mark.parametrize("n, m", [(24, 96), (32, 64), (5, 3), (7, 11), (2, 4)])
+    def test_random_system_equals_per_projection_draws(self, n, m):
+        system = random_projection_system(n, m, 1234)
+        projs = [random_projection(n, c) for c in seed_sequence(1234).spawn(m)]
+        assert np.array_equal(system.stacked(), np.stack([p.array for p in projs]))
+        assert np.array_equal(system.ranks(), [p.rank for p in projs])
+        assert system.dim == n and system.num_projections == m
+
+    @pytest.mark.parametrize(
+        "system",
+        [arithmetic_progressions(n) for n in (6, 7, 8, 9, 10, 11, 12, 20)]
+        + [random_set_system(n, m, seed) for n, m, seed in ((1, 1, 0), (9, 30, 1), (13, 40, 5))],
+    )
+    def test_set_system_embedding_equals_diagonal_projections(self, system):
+        ps = to_projection_system(system)
+        projs = diagonal_embedding(system)
+        assert np.array_equal(ps.stacked(), np.stack([p.array for p in projs]))
+        assert np.array_equal(ps.ranks(), [p.rank for p in projs])
+
+    def test_stack_is_stored_once_and_read_only(self):
+        ps = to_projection_system(arithmetic_progressions(9))
+        assert ps.stacked() is ps.stacked() and ps.ranks() is ps.ranks()
+        assert not ps.stacked().flags.writeable and not ps.ranks().flags.writeable
+        with pytest.raises(ValueError):
+            ps.stacked()[0, 0, 0] = 2.0
+        assert ps.projections is ps.projections
+        for i, p in enumerate(ps.projections):
+            assert np.array_equal(p.array, ps.stacked()[i]) and np.shares_memory(p.array, ps.stacked())
+            assert p.rank == ps.ranks()[i] and p.dim == 9
+
+    def test_writeable_complex_stack_is_taken_over(self):
+        raw = np.stack([np.eye(3), np.diag([1.0, 0.0, 0.0])]).astype(np.complex128)
+        ps = ProjectionSystem(raw)
+        assert ps.stacked() is raw and not raw.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["read-only", "float", "list"])
+    def test_other_stacks_are_copied(self, kind):
+        base = to_projection_system(random_set_system(5, 6, 2))
+        raw = {"read-only": base.stacked(), "float": base.stacked().real.copy(),
+               "list": list(base.stacked())}[kind]
+        ps = ProjectionSystem(raw)
+        assert not any(np.shares_memory(ps.stacked(), a) for a in (base.stacked(), raw[0]))
+        assert np.array_equal(ps.stacked(), base.stacked())
+        if kind == "float":
+            assert raw.flags.writeable
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.diag([1.0, 0.0, 0.0, 0.0]) + 1e-3 * np.eye(4, k=1),  # anti-Hermitian part far above 1e-6
+            np.diag([0.5, 1.0, 0.0, 0.0]),  # an eigenvalue of 0.5
+            np.diag([1.0, 1.0, 0.0, 0.0]) + 0.9e-10 * np.eye(4),  # spectrum within 1e-10 of {0, 1}, trace off by 3.6e-10
+            np.diag([np.nan, 1.0, 0.0, 0.0]),  # a non-finite entry
+        ],
+    )
+    def test_bad_slice_in_last_chunk_fails_like_as_projection(self, bad):
+        n = 4
+        per_chunk = BATCH_ENTRIES // (n * n)
+        good = random_projection_system(n, 2 * per_chunk + 3, 5).stacked()
+        stack = np.concatenate([good, bad[None]])
+        assert len(stack) > 2 * per_chunk  # the bad slice is alone in the third chunk
+        with pytest.raises(ValueError) as expected:
+            as_projection(bad)
+        with pytest.raises(ValueError) as got:
+            ProjectionSystem(stack)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+        ProjectionSystem(good)  # the same stack without the bad slice passes
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 3), (2, 3, 4), (2, 0, 0)])
+    def test_bad_stack_shapes_refused(self, shape):
+        with pytest.raises(ValidationError):
+            ProjectionSystem(np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": -1, "projections": []},
+            {"n": 0, "projections": []},
+            {"n": 2, "projections": [matrix_to_json(np.eye(2)), matrix_to_json(np.eye(3))]},
+            {"n": 3, "projections": [matrix_to_json(np.eye(2))]},
+        ],
+    )
+    def test_json_edge_cases_are_validation_errors(self, doc):
+        with pytest.raises(ValidationError if not doc["projections"] else DimMismatch):
+            ProjectionSystem.from_json(doc)
+
+    def test_json_roundtrip(self):
+        ps = random_projection_system(5, 4, 3)
+        doc = {"n": 5, "projections": [matrix_to_json(p) for p in ps.stacked()]}
+        assert np.array_equal(ProjectionSystem.from_json(doc).stacked(), ps.stacked())
 
 
 class TestEvaluateColoring:
