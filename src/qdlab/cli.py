@@ -68,8 +68,6 @@ class ExperimentReport:
     columns: list[str]
     rows: list[dict]
     summary: dict
-    wall_time: float = 0.0
-    exit_code: int = EXIT_OK
 
 
 def _canon(obj) -> str:
@@ -77,16 +75,8 @@ def _canon(obj) -> str:
 
 
 def _py(v):
-    """Coerce numpy scalars into plain Python for stable serialization."""
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    if isinstance(v, np.ndarray):
-        return [_py(x) for x in v]
-    return v
+    """Coerce numpy scalars and arrays into plain Python for stable serialization."""
+    return v.tolist() if isinstance(v, (np.generic, np.ndarray)) else v
 
 
 def render_report(report: ExperimentReport, fmt: str) -> str:
@@ -310,12 +300,10 @@ def _config_echo(cfg: dict) -> dict:
     return {k: _py(v) for k, v in cfg.items() if k != "out"}
 
 
-def _seed_root(cfg: dict) -> np.random.SeedSequence:
-    return np.random.SeedSequence(cfg["seed"] if cfg["seed"] is not None else 0)
-
-
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the config and the root of its seed tree and
+# returns the report rows (dicts whose keys are the columns, in order) and
+# the summary
 
 def _read_input_object(path: str) -> dict:
     data = json.loads(Path(path).read_text())
@@ -336,8 +324,7 @@ def _load_set_system(cfg: dict, root: np.random.SeedSequence) -> SetSystem:
     raise UsageError("no input: give --input FILE, --ap N, or --random-n/--random-m")
 
 
-def cmd_disc(cfg: dict) -> ExperimentReport:
-    root = _seed_root(cfg)
+def cmd_disc(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
     system = _load_set_system(cfg, root)
     if not cfg["heuristic"] and system.ground_size > cfg["cap"]:
         raise GroundSetTooLarge(
@@ -362,7 +349,7 @@ def cmd_disc(cfg: dict) -> ExperimentReport:
         "m": system.num_sets,
         "system": system.to_json(),
     }
-    return ExperimentReport("disc", _config_echo(cfg), ["set_index", "size", "signed_sum"], rows, summary)
+    return rows, summary
 
 
 def _load_projection_system(cfg: dict, root: np.random.SeedSequence) -> ProjectionSystem:
@@ -391,8 +378,7 @@ def _qdisc_search(system: ProjectionSystem, cfg: dict, seed: np.random.SeedSeque
     )
 
 
-def cmd_qdisc(cfg: dict) -> ExperimentReport:
-    root = _seed_root(cfg)
+def cmd_qdisc(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
     system = _load_projection_system(cfg, root)
     est = _qdisc_search(system, cfg, root.spawn(2)[1])
     rows = []
@@ -412,12 +398,10 @@ def cmd_qdisc(cfg: dict) -> ExperimentReport:
         "converged": est.converged,
         "witness": matrix_to_json(est.witness),
     }
-    cols = ["projection_index", "rank", "trace_term", "commutator_term", "objective"]
-    return ExperimentReport("qdisc", _config_echo(cfg), cols, rows, summary)
+    return rows, summary
 
 
-def cmd_ubound(cfg: dict) -> ExperimentReport:
-    root = _seed_root(cfg)
+def cmd_ubound(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
     n = int(cfg["n"])
     m_grid = [int(m) for m in cfg["m_grid"]]
     trials = int(cfg["trials"])
@@ -449,13 +433,10 @@ def cmd_ubound(cfg: dict) -> ExperimentReport:
         "min_fraction": min(r["fraction"] for r in rows),
         "all_at_least_half": all(r["fraction"] >= 0.5 for r in rows),
     }
-    cols = ["n", "m", "c", "trials", "successes", "fraction", "ci_low", "ci_high",
-            "max_delta", "delta_over_scale"]
-    return ExperimentReport("ubound", _config_echo(cfg), cols, rows, summary)
+    return rows, summary
 
 
-def cmd_lbound(cfg: dict) -> ExperimentReport:
-    root = _seed_root(cfg)
+def cmd_lbound(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
     constants = lower_bound_constants(float(cfg["alpha"]))
     n_grid = [int(n) for n in cfg["n_grid"]]
     m_cap = int(cfg["m_cap"])
@@ -490,8 +471,7 @@ def cmd_lbound(cfg: dict) -> ExperimentReport:
         "ratio_min": min(ratios),
         "ratio_max": max(ratios),
     }
-    cols = ["n", "m", "m_requested", "regime_ok", "estimate", "ratio", "zeta_scaled"]
-    return ExperimentReport("lbound", _config_echo(cfg), cols, rows, summary)
+    return rows, summary
 
 
 def _resolve_kernel(cfg: dict, child: np.random.SeedSequence):
@@ -506,22 +486,16 @@ def _resolve_kernel(cfg: dict, child: np.random.SeedSequence):
         return validate_kernel(0.5 * np.eye(n))
     if kind == "random":
         return random_kernel(n, child)
-    if kind == "projection":
-        return validate_kernel(random_projection(n, child).array)
-    raise UsageError(f"unknown kernel kind {kind!r}")
+    return validate_kernel(random_projection(n, child).array)  # kind == "projection"
 
 
-def cmd_dpp(cfg: dict) -> ExperimentReport:
-    action = cfg["action"]
-    if action not in ("sample", "check"):
-        raise UsageError("dpp needs an action: sample or check")
-    root = _seed_root(cfg)
+def cmd_dpp(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
     kernel_child, draw_child = root.spawn(2)
     kernel = _resolve_kernel(cfg, kernel_child)
     trials = int(cfg["trials"])
     if trials < 1:
         raise UsageError("need trials >= 1")
-    if action == "sample":
+    if cfg["action"] == "sample":
         draws = sample_many(kernel, trials, draw_child, spawn=True)
         rows = [
             {"trial": t, "size": len(s.points), "points": " ".join(map(str, s.points))}
@@ -534,7 +508,7 @@ def cmd_dpp(cfg: dict) -> ExperimentReport:
             "kernel_dim": kernel.dim,
             "kernel": matrix_to_json(kernel),
         }
-        return ExperimentReport("dpp", _config_echo(cfg), ["trial", "size", "points"], rows, summary)
+        return rows, summary
 
     # action == "check": compare empirical statistics against exact laws
     n = kernel.dim
@@ -559,17 +533,11 @@ def cmd_dpp(cfg: dict) -> ExperimentReport:
         z = z_score(incl_counts[i] / trials, p, math.sqrt(max(p * (1 - p), 0.0) / trials))
         rows.append({"check": "inclusion_z", "index": i + 1, "value": z, "reference": p,
                      "gate": z_gate, "passed": abs(z) <= z_gate})
-    all_pass = all(r["passed"] for r in rows)
-    summary = {"trials": trials, "all_pass": all_pass, "subset_tv": subset_tv, "size_tv": size_tv}
-    cols = ["check", "index", "value", "reference", "gate", "passed"]
-    report = ExperimentReport("dpp", _config_echo(cfg), cols, rows, summary)
-    if not all_pass:
-        report.exit_code = EXIT_GATE
-    return report
+    return rows, {"trials": trials, "all_pass": all(r["passed"] for r in rows), "subset_tv": subset_tv,
+                  "size_tv": size_tv}
 
 
-def cmd_compare(cfg: dict) -> ExperimentReport:
-    root = _seed_root(cfg)
+def cmd_compare(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
     systems: list[tuple[str, SetSystem]] = []
     for n in range(int(cfg["ap_min"]), int(cfg["ap_max"]) + 1):
         systems.append((f"ap-{n}", arithmetic_progressions(n)))
@@ -578,6 +546,8 @@ def cmd_compare(cfg: dict) -> ExperimentReport:
         systems.append(
             (f"random-{i}", random_set_system(int(cfg["random_n"]), int(cfg["random_m"]), rand_children[2 * i]))
         )
+    if not systems:
+        raise ValidationError("empty corpus: --ap-min exceeds --ap-max and --random-count is 0")
     est_children = root.spawn(len(systems) + 100)[100:]
     rows = []
     for (name, system), child in zip(systems, est_children):
@@ -599,16 +569,13 @@ def cmd_compare(cfg: dict) -> ExperimentReport:
         "instances": len(rows),
         "all_sandwich_ok": all(r["sandwich_ok"] for r in rows),
     }
-    cols = ["system_id", "n", "m", "disc", "qdisc_est",
-            "min_feasible_c_log", "min_feasible_c_sqrt_log", "sandwich_ok"]
-    return ExperimentReport("compare", _config_echo(cfg), cols, rows, summary)
+    return rows, summary
 
 
-def cmd_haar(cfg: dict) -> ExperimentReport:
+def cmd_haar(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
     trials = int(cfg["trials"])
     if trials < 2:
         raise UsageError("need trials >= 2")
-    root = _seed_root(cfg)
     n_grid = [int(n) for n in cfg["n_grid"]]
     z_gate = float(cfg["z_gate"])
     gates = [g for n, child in zip(n_grid, root.spawn(len(n_grid))) for g in moment_gates(n, trials, child)]
@@ -618,12 +585,7 @@ def cmd_haar(cfg: dict) -> ExperimentReport:
         for g in gates
     ]
     max_z = max(abs(g.z) for g in gates)
-    summary = {"trials": trials, "max_abs_z": max_z, "all_pass": all(r["passed"] for r in rows)}
-    cols = ["n", "gate", "param", "exact", "estimate", "se", "z", "passed"]
-    report = ExperimentReport("haar", _config_echo(cfg), cols, rows, summary)
-    if not summary["all_pass"]:
-        report.exit_code = EXIT_GATE
-    return report
+    return rows, {"trials": trials, "max_abs_z": max_z, "all_pass": all(r["passed"] for r in rows)}
 
 
 _COMMANDS = {
@@ -689,22 +651,24 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     start = time.perf_counter()
     try:
-        report = _COMMANDS[args.subcommand][0](cfg)
+        rows, summary = _COMMANDS[args.subcommand][0](cfg, np.random.SeedSequence(cfg["seed"] or 0))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (QdlabError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    report.wall_time = time.perf_counter() - start
+    wall_time = time.perf_counter() - start
+    report = ExperimentReport(args.subcommand, _config_echo(cfg), list(rows[0]), rows, summary)
     text = render_report(report, cfg["format"] or "csv")
     if cfg["out"]:
         Path(cfg["out"]).write_text(text)
-        print(f"report written to {cfg['out']} ({report.wall_time:.2f}s)", file=sys.stderr)
+        print(f"report written to {cfg['out']} ({wall_time:.2f}s)", file=sys.stderr)
     else:
         sys.stdout.write(text)
-        print(f"wall time {report.wall_time:.2f}s", file=sys.stderr)
-    return report.exit_code
+        print(f"wall time {wall_time:.2f}s", file=sys.stderr)
+    # a command with acceptance gates reports them in summary["all_pass"]
+    return EXIT_GATE if summary.get("all_pass") is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .errors import (
     SpectrumOutOfRange,
     ValidationError,
 )
-from .matcore import BATCH_ENTRIES, HermitianMatrix, make_hermitian, seed_sequence, trace_pair
+from .matcore import BATCH_ENTRIES, HermitianMatrix, imbalance_terms, make_hermitian, seed_sequence
 
 SPECTRUM_TOL = 1e-10
 # Eigenvalues this close to 0 or 1 are snapped exactly, so projection kernels
@@ -282,21 +282,15 @@ def exact_distribution(kernel: DPPKernel, cap: int = EXACT_DISTRIBUTION_CAP) -> 
     return out
 
 
-def _embedded_terms(kernel: DPPKernel, subset) -> tuple[float, float, int]:
-    """(tr(K P_S), tr((K P_S)^2), |S|) for the diagonal embedding P_S."""
-    sub = _principal(kernel, subset)
-    t1, t2 = trace_pair(sub)
-    return float(t1), float(t2), sub.shape[0]
-
-
 def expected_squared_imbalance(kernel: DPPKernel, subset) -> float:
     """E[(2 X(S) - |S|)^2] = (2 tr(K P_S) - |S|)^2 + 4 tr(K P_S (I - K P_S)).
 
     This is the bias-variance split of the squared imbalance of S under the
     process with kernel K (for the uniform kernel I/2 the bias term is 0).
+    K P_S has the traces of its principal block K[S, S].
     """
-    t1, t2, s = _embedded_terms(kernel, subset)
-    return (2.0 * t1 - s) ** 2 + 4.0 * (t1 - t2)
+    sub = _principal(kernel, subset)
+    return float(imbalance_terms(sub, sub.shape[0])[1])
 
 
 def moments_of_count(kernel: DPPKernel, subset) -> tuple[float, float]:

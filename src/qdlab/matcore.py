@@ -271,6 +271,16 @@ def trace_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.einsum("...ii->...", a).real, np.einsum("...ij,...ji->...", a, a).real
 
 
+def imbalance_terms(b: np.ndarray, size) -> tuple[np.ndarray, np.ndarray]:
+    """tr B and (2 tr B - size)^2 + 4 (tr B - tr B^2) over the last two axes.
+    When B has the traces of K P, for a kernel K and a projection P of rank
+    `size` (K[S, S] for the diagonal P_S, U_+* P U_+ for K = U_+ U_+*), this
+    is E[(2 X(S) - |S|)^2] under the DPP of kernel K if P = P_S, and
+    objective^2(chi, P) if K = (chi + I)/2."""
+    t1, t2 = trace_pair(b)
+    return t1, (2.0 * t1 - size) ** 2 + 4.0 * (t1 - t2)
+
+
 def seed_sequence(seed) -> np.random.SeedSequence:
     """A SeedSequence unchanged, anything else as the entropy of a new one."""
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

@@ -31,15 +31,15 @@ from .errors import (
 from .matcore import (
     OrthogonalProjection,
     QuantumColoring,
-    as_projection,
     conjugate_diagonal,
+    imbalance_terms,
     make_hermitian,
     schatten_norm,
     seed_sequence,
     spectral_decompose,
     trace_pair,
 )
-from .setsys import ProjectionSystem, SetSystem
+from .setsys import ProjectionSystem, SetSystem, to_projection_system
 
 _CONSISTENCY_TOL = 1e-9
 _IMPROVE_TOL = 1e-12
@@ -96,19 +96,11 @@ class DppConsistencyRecord:
 def objective_vs_dpp(coloring: QuantumColoring, subset) -> DppConsistencyRecord:
     """Evaluate the squared imbalance of S under the kernel (chi + I)/2 and
     the squared objective of chi against the diagonal embedding of S."""
-    n = coloring.dim
-    kernel = validate_kernel(0.5 * (coloring.array + np.eye(n)))
-    diag = np.zeros(n, dtype=np.complex128)
-    for i in subset:
-        if not 1 <= int(i) <= n:
-            raise DimMismatch(f"subset element {i} outside [1, {n}]")
-        diag[int(i) - 1] = 1.0
-    p_s = as_projection(np.diag(diag))
+    kernel = validate_kernel(0.5 * (coloring.array + np.eye(coloring.dim)))
+    imbalance = expected_squared_imbalance(kernel, subset)
+    p_s = to_projection_system(SetSystem(coloring.dim, (tuple(subset),))).projections[0]
     obj = objective(coloring, p_s)
-    return DppConsistencyRecord(
-        imbalance=expected_squared_imbalance(kernel, subset),
-        objective_sq=obj.trace_term + obj.commutator_term,
-    )
+    return DppConsistencyRecord(imbalance=imbalance, objective_sq=obj.trace_term + obj.commutator_term)
 
 
 @dataclass(frozen=True)
@@ -260,13 +252,6 @@ def _root_max(squares: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(squares.max(axis=-1), 0.0))
 
 
-def _plus_terms(b: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """t1 and objective^2 = (2 t1 - r)^2 + 4 (t1 - t2) per projection, with
-    (t1, t2) = (tr B, tr B^2) of B = U_+* P U_+."""
-    t1, t2 = trace_pair(b)
-    return t1, (2.0 * t1 - ranks) ** 2 + 4.0 * (t1 - t2)
-
-
 def _unit_rows(u: np.ndarray) -> np.ndarray | None:
     """The rows o with column l of u equal to e_o[l], when every entry of u is
     exactly 0 or 1 and every column holds one 1; None for any other u."""
@@ -289,7 +274,7 @@ def _rotated(u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
 
 
 def _plus_value(u: np.ndarray, k: int, stacked: np.ndarray, ranks: np.ndarray) -> float:
-    return float(_root_max(_plus_terms(_rotated(u[:, :k], stacked), ranks)[1]))
+    return float(_root_max(imbalance_terms(_rotated(u[:, :k], stacked), ranks)[1]))
 
 
 def _angle_basis(theta: np.ndarray) -> np.ndarray:
@@ -314,7 +299,7 @@ class _PlaneSearch:
         self.k = k
         self.ranks = ranks
         self.w = _rotated(u, stacked)
-        self.t1, self.v0 = _plus_terms(self.w[:, :k, :k], ranks)
+        self.t1, self.v0 = imbalance_terms(self.w[:, :k, :k], ranks)
 
     def plane_terms(self, i: int, j: int) -> np.ndarray:
         """(v0, Delta, h) of the plane (i, j): with alpha = W_ii, beta = W_jj,
@@ -345,7 +330,7 @@ class _PlaneSearch:
         col_i[:, j] = col_j[:, i].conj()
         w[:, :, i], w[:, :, j] = col_i, col_j
         w[:, i, :], w[:, j, :] = col_i.conj(), col_j.conj()
-        self.t1, self.v0 = _plus_terms(w[:, : self.k, : self.k], self.ranks)
+        self.t1, self.v0 = imbalance_terms(w[:, : self.k, : self.k], self.ranks)
 
 
 def _refine(

@@ -237,6 +237,50 @@ class TestCompare:
         assert summary["all_sandwich_ok"] is True
 
 
+class TestReportEnvelope:
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (["disc", "--ap", "4"], "set_index,size,signed_sum"),
+            (["qdisc", "--random-n", "3", "--random-m", "2", "--restarts", "1", "--sweeps", "1", "--seed", "5"],
+             "projection_index,rank,trace_term,commutator_term,objective"),
+            (["ubound", "--n", "4", "--m-grid", "2", "--trials", "20", "--c", "1.0", "--seed", "4"],
+             "n,m,c,trials,successes,fraction,ci_low,ci_high,max_delta,delta_over_scale"),
+            (["lbound", "--n-grid", "4", "--m-cap", "8", "--seed", "4"],
+             "n,m,m_requested,regime_ok,estimate,ratio,zeta_scaled"),
+            (["dpp", "sample", "--kind", "random", "--n", "3", "--trials", "5", "--seed", "5"], "trial,size,points"),
+            (["dpp", "check", "--kind", "uniform", "--n", "3", "--trials", "200", "--tv-gate", "1",
+              "--z-gate", "1e300", "--seed", "5"], "check,index,value,reference,gate,passed"),
+            (["compare", "--ap-min", "4", "--ap-max", "4", "--random-count", "0", "--restarts", "1",
+              "--sweeps", "1", "--seed", "1"],
+             "system_id,n,m,disc,qdisc_est,min_feasible_c_log,min_feasible_c_sqrt_log,sandwich_ok"),
+            (["haar", "--n-grid", "2", "--trials", "100", "--z-gate", "1e300", "--seed", "1"],
+             "n,gate,param,exact,estimate,se,z,passed"),
+        ],
+    )
+    def test_csv_header(self, tmp_path, argv, header):
+        code, text = run(tmp_path, "r.csv", *argv)
+        assert code == 0
+        assert text.splitlines()[2] == header
+
+    def test_haar_gate_failure_writes_the_full_report(self, tmp_path):
+        argv = ["haar", "--n-grid", "2", "3", "--trials", "200", "--seed", "1", "--format", "json"]
+        code, text = run(tmp_path, "fail.json", *argv, "--z-gate", "1e-9")
+        assert code == EXIT_GATE
+        doc = json.loads(text)
+        assert doc["summary"]["all_pass"] is False
+        _, loose = run(tmp_path, "pass.json", *argv, "--z-gate", "1e300")
+        rows = json.loads(loose)["rows"]
+        assert [r["estimate"] for r in doc["rows"]] == [r["estimate"] for r in rows]
+
+    def test_compare_empty_corpus(self, tmp_path, capsys):
+        code, text = run(tmp_path, "c.csv", "compare", "--ap-min", "7", "--ap-max", "6",
+                         "--random-count", "0", "--seed", "1")
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION and text == ""
+        assert "empty corpus" in err and "Traceback" not in err
+
+
 class TestUboundLbound:
     def test_ubound_fraction_and_ci(self, tmp_path):
         code, text = run(tmp_path, "u.csv", "ubound", "--n", "6", "--m-grid", "4", "--trials",

@@ -30,7 +30,7 @@ from qdlab import (
     to_projection_system,
     trivial_bound_check,
 )
-from qdlab.errors import DegenerateDim, DimMismatch, RankMismatch, ValidationError
+from qdlab.errors import DegenerateDim, DimMismatch, IndexOutOfRange, RankMismatch, ValidationError
 from qdlab.matcore import conjugate_diagonal, trace_pair
 from qdlab.qdisc import (
     ANGLE_GRID,
@@ -259,6 +259,11 @@ class TestObjectiveVsDpp:
         rec = objective_vs_dpp(random_quantum_coloring(3, 0), [])
         assert rec.imbalance == pytest.approx(0.0)
         assert rec.objective_sq == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("element", [0, 4])
+    def test_element_outside_the_ground_set(self, element):
+        with pytest.raises(IndexOutOfRange):
+            objective_vs_dpp(random_quantum_coloring(3, 0), [element])
 
 
 class TestTrivialBound:

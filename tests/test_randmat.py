@@ -99,6 +99,22 @@ class TestHaarUnitary:
         se = vals.std(ddof=1) / math.sqrt(trials)
         assert abs(vals.mean() - 1.0 / n) <= 4 * se
 
+    def test_first_entry_mean_needs_the_phase_correction(self):
+        # E[U_00] = 0 for Haar U. Every moment gate is invariant under
+        # U -> U diag(e^{i phi}), so this is the statistic that sees the phases
+        # moved from R into Q; plain QR of the same Ginibre draws (a real
+        # diagonal of R, of one sign convention) must fail it.
+        n, trials = 4, 20_000
+
+        def z(vals):
+            return abs(vals.mean()) / (vals.std(ddof=1) / math.sqrt(trials))
+
+        haar = haar_batch(np.random.default_rng(5), trials, n)[:, 0, 0]
+        g = np.random.default_rng(5).standard_normal((trials, 2, n, n))
+        plain = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0))[0][:, 0, 0]
+        assert z(haar) <= 5
+        assert z(plain) > 5
+
     def test_left_invariance_spot_check(self):
         # E|(VU)_00|^2 is also 1/N for fixed unitary V
         n, trials = 3, 20_000
