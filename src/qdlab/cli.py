@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -214,11 +215,16 @@ _SCHEMAS: dict[str, dict[str, Option]] = {
     },
 }
 
-# Options that set a ground-set size N or a set count M, and their largest
-# supported value.
+# Largest trial count of any option, above every default (haar's 100000) and
+# every tested value: a command's per-trial arrays hold at most 2^20 rows.
+MAX_TRIALS = 1 << 20
+
+# Options that set a ground-set size N, a set count M or a trial count, and
+# their largest supported value; checked before any command allocates.
 _SIZES = (
     (("n", "n_grid", "random_n", "ap", "ap_min", "ap_max"), MAX_GROUND_SIZE),
     (("random_m", "m_grid", "m_cap"), MAX_SET_COUNT),
+    (("trials", "probe_trials"), MAX_TRIALS),
 )
 
 # disc is stochastic only with a random generator or the heuristic search.
@@ -496,7 +502,7 @@ def cmd_dpp(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
     if trials < 1:
         raise UsageError("need trials >= 1")
     if cfg["action"] == "sample":
-        draws = sample_many(kernel, trials, draw_child, spawn=True)
+        draws = sample_many(kernel, trials, draw_child)
         rows = [
             {"trial": t, "size": len(s.points), "points": " ".join(map(str, s.points))}
             for t, s in enumerate(draws)
@@ -513,6 +519,7 @@ def cmd_dpp(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
     # action == "check": compare empirical statistics against exact laws
     n = kernel.dim
     dist = exact_distribution(kernel)  # raises GroundSetTooLarge past the cap
+    # one child stream per trial; see sample_masks for why check keeps them
     members = sample_masks(kernel, trials, draw_child, spawn=True)
     incl_counts = members.sum(axis=0)
     size_counts = np.bincount(members.sum(axis=1), minlength=n + 1)
@@ -616,10 +623,12 @@ def _add_option(parser: argparse.ArgumentParser, key: str, opt: Option) -> None:
     parser.add_argument("--" + key.replace("_", "-"), dest=key, **kwargs)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per subcommand, with a flag for every config key of
     _SCHEMAS and _COMMON. Flags default to None so that an omitted flag
-    never overrides a config-file value."""
+    never overrides a config-file value, and parsing keeps no state, so the
+    parser is built once per process, on first use."""
     parser = argparse.ArgumentParser(
         prog="qdlab",
         description="Combinatorial/quantum discrepancy and DPP experiments with seeded, reproducible reports.",

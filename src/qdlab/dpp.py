@@ -123,8 +123,13 @@ def sample_masks(kernel: DPPKernel, trials: int, seed, spawn: bool = False) -> n
     uniform per kept eigenvector. With spawn=False every draw reads the next
     uniforms of the single stream `default_rng(seed)` (which reads ahead in
     blocks, so a Generator passed as `seed` ends past the last draw);
-    spawn=True derives an independent child stream per trial index, which is
-    what a concurrent driver should use. The draws run in stacks whose
+    spawn=True derives an independent child stream per trial index, at the
+    cost of one SeedSequence and one Generator per draw (625 draws at N = 8
+    take about 12 ms, against under 3 ms on one stream). `dpp check` is its
+    only caller: its fixed TV gate sits at the noise floor of an exact
+    sampler, and on one stream its acceptance config (random kernel, N = 4,
+    4000 trials, seed 5) exits 3, so it keeps the per-trial streams until
+    its gates have a stated false-alarm rate. The draws run in stacks whose
     factors hold at most 4 BATCH_ENTRIES complex entries (1 MiB): a draw's
     factor has at most rank x N entries, rank the count of nonzero
     eigenvalues. A draw reads the same uniforms as the Schur-complement draw

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdlab import DEFAULT_EXHAUSTIVE_CAP, arithmetic_progressions, disc_exact, matrix_to_json
-from qdlab.cli import _SCHEMAS, EXIT_GATE, EXIT_USAGE, EXIT_VALIDATION, _binomial_ci, main
+from qdlab.cli import (
+    _COMMANDS,
+    _SCHEMAS,
+    EXIT_GATE,
+    EXIT_USAGE,
+    EXIT_VALIDATION,
+    MAX_TRIALS,
+    _binomial_ci,
+    _resolve_kernel,
+    build_config,
+    build_parser,
+    main,
+)
+from qdlab.dpp import sample_masks
 from qdlab.setsys import MAX_DENSE_ENTRIES, MAX_GROUND_SIZE, MAX_SET_COUNT, check_dense_size
 
 
@@ -209,6 +223,43 @@ class TestDpp:
         code, _ = run(tmp_path, "s.csv", "dpp", "sample", "--kernel", str(kpath),
                       "--trials", "5", "--seed", "1")
         assert code == EXIT_VALIDATION
+
+
+class TestDppStreams:
+    """`dpp sample` reads one stream and `dpp check` one child stream per
+    trial, both from the second child of the seed root. Either layout
+    changes every report of its action, so a switch must fail here."""
+
+    @staticmethod
+    def _masks(kind, n, trials, seed, spawn):
+        kernel_child, draw_child = np.random.SeedSequence(seed).spawn(2)
+        kernel = _resolve_kernel({"kernel": None, "kind": kind, "n": n}, kernel_child)
+        return sample_masks(kernel, trials, draw_child, spawn=spawn)
+
+    @pytest.mark.parametrize("kind", ["uniform", "random", "projection"])
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_sample_reads_one_stream(self, tmp_path, kind, seed):
+        code, text = run(tmp_path, "s.json", "dpp", "sample", "--kind", kind, "--n", "5", "--trials", "60",
+                         "--seed", str(seed), "--format", "json")
+        assert code == 0
+        masks = self._masks(kind, 5, 60, seed, spawn=False)
+        points = [[int(p) for p in row["points"].split()] for row in json.loads(text)["rows"]]
+        assert points == [(np.flatnonzero(m) + 1).tolist() for m in masks]
+
+    @pytest.mark.parametrize("kind", ["uniform", "random", "projection"])
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_check_reads_one_child_stream_per_trial(self, tmp_path, kind, seed):
+        trials = 400
+        code, text = run(tmp_path, "c.json", "dpp", "check", "--kind", kind, "--n", "4", "--trials", str(trials),
+                         "--tv-gate", "1", "--z-gate", "1e300", "--seed", str(seed), "--format", "json")
+        assert code == 0
+        masks = self._masks(kind, 4, trials, seed, spawn=True)
+        # invert each inclusion z back to its count of draws holding the point
+        counts = [
+            round(trials * (r["reference"] + r["value"] * math.sqrt(r["reference"] * (1 - r["reference"]) / trials)))
+            for r in json.loads(text)["rows"] if r["check"] == "inclusion_z"
+        ]
+        assert counts == masks.sum(axis=0).tolist()
 
 
 class TestHaar:
@@ -470,6 +521,89 @@ class TestMalformedInput:
         assert code == EXIT_VALIDATION
         assert "lbound needs n < 2048" in err
         assert "Traceback" not in err
+
+
+class TestTrialCap:
+    @pytest.fixture
+    def no_commands(self, monkeypatch):
+        """Replace every command, so a missing cap fails the test instead of
+        allocating for a billion trials."""
+        def unreachable(cfg, root):
+            raise AssertionError("the command ran past the trial cap")
+
+        for name in _COMMANDS:
+            monkeypatch.setitem(_COMMANDS, name, (unreachable, ""))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dpp", "sample", "--n", "8", "--trials", "1000000000"],
+            ["dpp", "check", "--n", "4", "--trials", str(MAX_TRIALS + 1)],
+            ["haar", "--n-grid", "2", "--trials", "1000000000"],
+            ["ubound", "--n", "4", "--m-grid", "4", "--trials", str(MAX_TRIALS + 1), "--c", "1"],
+            ["ubound", "--n", "4", "--m-grid", "4", "--trials", "2", "--probe-trials", str(MAX_TRIALS + 1)],
+            ["disc", "--ap", "4", "--heuristic", "--trials", str(MAX_TRIALS + 1)],
+        ],
+    )
+    def test_refused_before_the_command_runs(self, tmp_path, capsys, no_commands, argv):
+        code, _ = run(tmp_path, "r.csv", *argv, "--seed", "1")
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"exceeds the largest supported size {MAX_TRIALS}" in err
+        assert "Traceback" not in err
+
+    def test_refused_in_config(self, tmp_path, capsys, no_commands):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"probe_trials": MAX_TRIALS + 1}))
+        assert main(["ubound", "--seed", "1", "--config", str(cfg)]) == EXIT_VALIDATION
+        assert f"probe_trials = {MAX_TRIALS + 1} exceeds" in capsys.readouterr().err
+
+    def test_cap_is_accepted_and_above_every_default(self):
+        args = build_parser().parse_args(["ubound", "--trials", str(MAX_TRIALS), "--probe-trials", str(MAX_TRIALS),
+                                          "--seed", "1"])
+        cfg = build_config("ubound", args)
+        assert cfg["trials"] == cfg["probe_trials"] == MAX_TRIALS
+        defaults = [opts[key].default for opts in _SCHEMAS.values() for key in ("trials", "probe_trials") if key in opts]
+        assert max(defaults) < MAX_TRIALS
+
+
+class TestCachedParser:
+    def test_built_once(self, tmp_path):
+        parser = build_parser()
+        misses = build_parser.cache_info().misses
+        for seed in ("1", "2", "3"):
+            assert run(tmp_path, "h.csv", "haar", "--n-grid", "2", "--trials", "100", "--seed", seed)[0] == 0
+        assert build_parser() is parser
+        assert build_parser.cache_info().misses == misses
+
+    def test_no_value_carries_over_to_the_next_call(self, tmp_path):
+        argv = ["haar", "--n-grid", "2", "--trials", "100", "--seed", "1", "--format", "json"]
+        assert run(tmp_path, "a.json", *argv, "--z-gate", "1e300")[0] == 0
+        code, text = run(tmp_path, "b.json", *argv)
+        assert code == 0 and json.loads(text)["config"]["z_gate"] == 4.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 200}))
+        assert run(tmp_path, "c.json", *argv)[0] == 0
+        code, text = run(tmp_path, "d.json", "haar", "--n-grid", "2", "--seed", "1", "--format", "json",
+                         "--config", str(cfg))
+        assert code == 0 and json.loads(text)["config"]["trials"] == 200
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["dpp", "sample", "--kind", "bogus", "--seed", "1"],  # refused by argparse
+            ["dpp", "sample", "--n", "4"],  # refused by build_config: no seed
+        ],
+    )
+    def test_report_after_a_usage_error_matches_a_fresh_process(self, tmp_path, capsys, bad):
+        argv = ["dpp", "sample", "--kind", "random", "--n", "4", "--trials", "30", "--seed", "3"]
+        assert main(bad) == EXIT_USAGE
+        code, text = run(tmp_path, "a.csv", *argv)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        fresh = subprocess.run([sys.executable, "-m", "qdlab.cli", *argv, "--out", str(tmp_path / "b.csv")],
+                               capture_output=True, text=True, env=env)
+        assert code == fresh.returncode == 0
+        assert text == (tmp_path / "b.csv").read_text()
 
 
 class TestImport:
