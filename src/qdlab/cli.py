@@ -62,46 +62,28 @@ class UsageError(Exception):
     """Bad command line or config file."""
 
 
-@dataclass
-class ExperimentReport:
-    subcommand: str
-    config: dict
-    columns: list[str]
-    rows: list[dict]
-    summary: dict
-
-
-def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _py(v):
-    """Coerce numpy scalars and arrays into plain Python for stable serialization."""
+    """Plain Python for a numpy scalar or array, through tolist()."""
     return v.tolist() if isinstance(v, (np.generic, np.ndarray)) else v
 
 
-def render_report(report: ExperimentReport, fmt: str) -> str:
-    rows = [{k: _py(v) for k, v in row.items()} for row in report.rows]
-    summary = {k: _py(v) for k, v in report.summary.items()}
+def render_report(subcommand: str, config: dict, rows: list[dict], summary: dict, fmt: str) -> str:
+    """The report text. JSON converts numpy values through `_py` (a numpy
+    float64 is a float and prints as one); CSV takes its columns from the
+    first row's keys and converts each value, since csv prints a non-str
+    value through its own str, and writes None as an empty field."""
     if fmt == "json":
-        doc = {
-            "format": FORMAT_VERSION,
-            "subcommand": report.subcommand,
-            "version": __version__,
-            "config": report.config,
-            "columns": report.columns,
-            "rows": rows,
-            "summary": summary,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        doc = {"format": FORMAT_VERSION, "subcommand": subcommand, "version": __version__, "config": config,
+               "columns": list(rows[0]), "rows": rows, "summary": summary}
+        return json.dumps(doc, sort_keys=True, indent=2, default=_py) + "\n"
+    canon = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"), default=_py)
     buf = io.StringIO()
-    buf.write(f"# qdlab-report format={FORMAT_VERSION} subcommand={report.subcommand} version={__version__}\n")
-    buf.write(f"# config: {_canon(report.config)}\n")
-    writer = csv.DictWriter(buf, fieldnames=report.columns, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-    buf.write(f"# summary: {_canon(summary)}\n")
+    buf.write(f"# qdlab-report format={FORMAT_VERSION} subcommand={subcommand} version={__version__}\n")
+    buf.write(f"# config: {canon(config)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(rows[0].keys())
+    writer.writerows([_py(v) for v in row.values()] for row in rows)
+    buf.write(f"# summary: {canon(summary)}\n")
     return buf.getvalue()
 
 
@@ -302,10 +284,6 @@ def build_config(subcommand: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _config_echo(cfg: dict) -> dict:
-    return {k: _py(v) for k, v in cfg.items() if k != "out"}
-
-
 # --------------------------------------------------------------------------
 # subcommands: each takes the config and the root of its seed tree and
 # returns the report rows (dicts whose keys are the columns, in order) and
@@ -321,7 +299,7 @@ def _read_input_object(path: str) -> dict:
 def _load_set_system(cfg: dict, root: np.random.SeedSequence) -> SetSystem:
     if cfg.get("input"):
         return SetSystem.from_json(_read_input_object(cfg["input"]))
-    if cfg.get("ap"):
+    if cfg.get("ap") is not None:
         return arithmetic_progressions(int(cfg["ap"]))
     if cfg.get("random_n") is not None:
         if cfg.get("random_m") is None:
@@ -411,6 +389,8 @@ def cmd_ubound(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dic
     n = int(cfg["n"])
     m_grid = [int(m) for m in cfg["m_grid"]]
     trials = int(cfg["trials"])
+    if trials < 1:
+        raise UsageError("need trials >= 1")
     for m in m_grid:
         check_dense_size(n, m)
     probe_child, *m_children = root.spawn(1 + 2 * len(m_grid))
@@ -492,7 +472,7 @@ def _resolve_kernel(cfg: dict, child: np.random.SeedSequence):
         return validate_kernel(0.5 * np.eye(n))
     if kind == "random":
         return random_kernel(n, child)
-    return validate_kernel(random_projection(n, child).array)  # kind == "projection"
+    return validate_kernel(random_projection(n, child).matrix)  # kind == "projection"
 
 
 def cmd_dpp(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
@@ -545,6 +525,8 @@ def cmd_dpp(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
 
 
 def cmd_compare(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
+    if cfg["random_count"] < 0:
+        raise ValidationError(f"need random_count >= 0, got {cfg['random_count']}")
     systems: list[tuple[str, SetSystem]] = []
     for n in range(int(cfg["ap_min"]), int(cfg["ap_max"]) + 1):
         systems.append((f"ap-{n}", arithmetic_progressions(n)))
@@ -668,8 +650,8 @@ def main(argv=None) -> int:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     wall_time = time.perf_counter() - start
-    report = ExperimentReport(args.subcommand, _config_echo(cfg), list(rows[0]), rows, summary)
-    text = render_report(report, cfg["format"] or "csv")
+    config = {k: v for k, v in cfg.items() if k != "out"}
+    text = render_report(args.subcommand, config, rows, summary, cfg["format"] or "csv")
     if cfg["out"]:
         Path(cfg["out"]).write_text(text)
         print(f"report written to {cfg['out']} ({wall_time:.2f}s)", file=sys.stderr)

@@ -33,15 +33,10 @@ _BREAKDOWN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ProcessSample:
-    """One realization: a sorted, duplicate-free subset of {1..N}."""
+    """One realization: a sorted, duplicate-free subset of {1..N}, read off
+    a `sample_masks` row by `sample_many` and not checked again."""
 
     points: tuple[int, ...]
-
-    def __post_init__(self):
-        pts = tuple(int(p) for p in self.points)
-        if list(pts) != sorted(set(pts)):
-            raise ValidationError(f"sample {pts} is not a sorted duplicate-free subset")
-        object.__setattr__(self, "points", pts)
 
 
 class DPPKernel:

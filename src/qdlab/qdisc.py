@@ -31,6 +31,7 @@ from .errors import (
 from .matcore import (
     OrthogonalProjection,
     QuantumColoring,
+    commutator,
     conjugate_diagonal,
     imbalance_terms,
     make_hermitian,
@@ -72,7 +73,7 @@ def objective(coloring: QuantumColoring, projection: OrthogonalProjection) -> Ob
     chi, p = _pair_arrays(coloring, projection)
     t1, t2 = map(float, trace_pair(chi @ p))
     commutator_term = projection.rank - t2
-    comm_form = float(np.trace(chi @ (chi @ p - p @ chi) @ p).real)
+    comm_form = float(np.trace(chi @ commutator(chi, p) @ p).real)
     if abs(comm_form - commutator_term) > _CONSISTENCY_TOL * max(1.0, abs(commutator_term)):
         raise ValidationError(
             f"commutator form {comm_form!r} disagrees with direct term {commutator_term!r}"
@@ -416,6 +417,9 @@ def qdisc_estimate(
     """
     if restarts < 1:
         raise ValidationError("need restarts >= 1")
+    for name, count in (("sweeps", sweeps), ("plane_cap", plane_cap), ("refine_top", refine_top)):
+        if count is not None and count < 0:
+            raise ValidationError(f"need {name} >= 0, got {count}")
     n = system.dim
     stacked = system.stacked()
     ranks = system.ranks().astype(float)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -14,19 +15,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdlab import DEFAULT_EXHAUSTIVE_CAP, arithmetic_progressions, disc_exact, matrix_to_json
+from qdlab import DEFAULT_EXHAUSTIVE_CAP, __version__, arithmetic_progressions, disc_exact, matrix_to_json
 from qdlab.cli import (
     _COMMANDS,
     _SCHEMAS,
     EXIT_GATE,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    FORMAT_VERSION,
     MAX_TRIALS,
     _binomial_ci,
     _resolve_kernel,
     build_config,
     build_parser,
     main,
+    render_report,
 )
 from qdlab.dpp import sample_masks
 from qdlab.setsys import MAX_DENSE_ENTRIES, MAX_GROUND_SIZE, MAX_SET_COUNT, check_dense_size
@@ -332,6 +335,90 @@ class TestReportEnvelope:
         assert "empty corpus" in err and "Traceback" not in err
 
 
+def _reference_render(subcommand, config, rows, summary, fmt):
+    """The report writer render_report replaced: a plain-Python copy of
+    every row, then csv.DictWriter or json.dumps."""
+    def py(v):
+        return v.tolist() if isinstance(v, (np.generic, np.ndarray)) else v
+
+    def canon(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    columns = list(rows[0])
+    config = {k: py(v) for k, v in config.items()}
+    rows = [{k: py(v) for k, v in row.items()} for row in rows]
+    summary = {k: py(v) for k, v in summary.items()}
+    if fmt == "json":
+        doc = {"format": FORMAT_VERSION, "subcommand": subcommand, "version": __version__, "config": config,
+               "columns": columns, "rows": rows, "summary": summary}
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    buf.write(f"# qdlab-report format={FORMAT_VERSION} subcommand={subcommand} version={__version__}\n")
+    buf.write(f"# config: {canon(config)}\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+    buf.write(f"# summary: {canon(summary)}\n")
+    return buf.getvalue()
+
+
+_CONFIG = {"seed": 3, "n_grid": [2, 3], "tv_gate": 0.02, "kernel": None, "format": "csv"}
+_NUMPY_ROWS = [
+    {"x": np.float64(0.1), "k": np.int64(-3), "ok": np.bool_(True), "empty": None, "nan": np.float64("nan"),
+     "text": 'a, "quoted" b', "arr": np.arange(3)},
+    {"x": 1e-300, "k": 7, "ok": False, "empty": "", "nan": float("nan"), "text": "two\nlines",
+     "arr": np.array([[1.5, -0.0]])},
+    {"x": np.float64(-2.0 / 3.0), "k": np.int64(2**62), "ok": np.bool_(False), "empty": None, "nan": np.float64("inf"),
+     "text": "", "arr": [np.float64(0.25)]},
+]
+_NUMPY_SUMMARY = {"mean": np.float64(2.0 / 3.0), "count": np.int64(5), "ok": np.bool_(False), "grid": np.eye(2),
+                  "none": None, "nan": float("nan"), "label": 'x,"y"', "pairs": [[0.5, 0.0], [1.0, -1e-17]]}
+_SCALARS = st.one_of(
+    st.floats().map(np.float64), st.floats(), st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(),
+    st.booleans().map(np.bool_), st.booleans(), st.none(), st.text(),
+)
+
+
+class TestRenderReport:
+    """render_report writes the same bytes as the writer it replaced."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_numpy_values(self, fmt):
+        got = render_report("demo", _CONFIG, _NUMPY_ROWS, _NUMPY_SUMMARY, fmt)
+        assert got == _reference_render("demo", _CONFIG, _NUMPY_ROWS, _NUMPY_SUMMARY, fmt)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["disc", "--ap", "6"],
+            ["qdisc", "--random-n", "4", "--random-m", "3", "--restarts", "1", "--sweeps", "1", "--seed", "5"],
+            ["ubound", "--n", "4", "--m-grid", "2", "--trials", "20", "--c", "1.0", "--seed", "4"],
+            ["lbound", "--n-grid", "4", "--m-cap", "8", "--seed", "4"],
+            ["dpp", "sample", "--kind", "projection", "--n", "4", "--trials", "5", "--seed", "5"],
+            ["dpp", "check", "--kind", "random", "--n", "3", "--trials", "300", "--seed", "5"],
+            ["compare", "--ap-min", "4", "--ap-max", "5", "--random-count", "1", "--restarts", "1", "--seed", "1"],
+            ["haar", "--n-grid", "2", "--trials", "100", "--seed", "1"],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_command_rows(self, argv, fmt):
+        args = build_parser().parse_args(argv)
+        cfg = build_config(args.subcommand, args)
+        rows, summary = _COMMANDS[args.subcommand][0](cfg, np.random.SeedSequence(cfg["seed"] or 0))
+        config = {k: v for k, v in cfg.items() if k != "out"}
+        got = render_report(args.subcommand, config, rows, summary, fmt)
+        assert got == _reference_render(args.subcommand, config, rows, summary, fmt)
+
+    @given(values=st.lists(st.tuples(_SCALARS, _SCALARS), min_size=1, max_size=4), top=_SCALARS)
+    @settings(max_examples=200, deadline=None)
+    def test_any_scalars(self, values, top):
+        rows = [{"a": a, "b": b} for a, b in values]
+        for fmt in ("csv", "json"):
+            assert render_report("demo", _CONFIG, rows, {"top": top}, fmt) == \
+                _reference_render("demo", _CONFIG, rows, {"top": top}, fmt)
+
+
 class TestUboundLbound:
     def test_ubound_fraction_and_ci(self, tmp_path):
         code, text = run(tmp_path, "u.csv", "ubound", "--n", "6", "--m-grid", "4", "--trials",
@@ -420,6 +507,27 @@ class TestMalformedInput:
         assert "validation failure" in err
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["ubound", "--n", "4", "--m-grid", "4", "--c", "1", "--trials", "0"], EXIT_USAGE),
+            (["ubound", "--n", "4", "--m-grid", "4", "--c", "1", "--trials", "-3"], EXIT_USAGE),
+            (["compare", "--random-count", "-1"], EXIT_VALIDATION),
+            (["compare", "--ap-min", "6", "--ap-max", "6", "--random-count", "0", "--sweeps", "-1"], EXIT_VALIDATION),
+            (["qdisc", "--random-n", "4", "--random-m", "3", "--plane-cap", "-2"], EXIT_VALIDATION),
+            (["qdisc", "--random-n", "4", "--random-m", "3", "--sweeps", "-1"], EXIT_VALIDATION),
+            (["qdisc", "--random-n", "4", "--random-m", "3", "--refine-top", "-1"], EXIT_VALIDATION),
+            (["lbound", "--n-grid", "4", "--m-cap", "8", "--plane-cap", "-2"], EXIT_VALIDATION),
+            (["lbound", "--n-grid", "4", "--m-cap", "8", "--sweeps", "-1"], EXIT_VALIDATION),
+            (["disc", "--ap", "0"], EXIT_VALIDATION),
+        ],
+    )
+    def test_out_of_range_count(self, tmp_path, capsys, argv, code):
+        assert run(tmp_path, "r.csv", *argv, "--seed", "1") == (code, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: need" if code == EXIT_USAGE else "validation failure: need")
+        assert "Traceback" not in err
 
     def test_huge_kernel_refused_without_warning(self, tmp_path, capsys):
         path = tmp_path / "kernel.json"

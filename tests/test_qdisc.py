@@ -301,6 +301,12 @@ class TestQdiscEstimate:
         est = qdisc_estimate(ProjectionSystem(np.stack([as_projection(np.eye(4)).array])), restarts=1, sweeps=0, seed=0)
         assert est.value == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("count", ["sweeps", "plane_cap", "refine_top"])
+    def test_negative_count_refused(self, count):
+        system = ProjectionSystem(np.stack([as_projection(np.eye(4)).array]))
+        with pytest.raises(ValidationError, match=f"need {count} >= 0, got -1"):
+            qdisc_estimate(system, restarts=1, seed=0, **{count: -1})
+
     def test_never_exceeds_combinatorial_disc(self):
         for seed in range(10):
             system = random_set_system(7, 5, (10, seed))

@@ -1,0 +1,87 @@
+"""Compare the reports of a fixed list of qdlab commands between this
+checkout and another one.
+
+    python tools/report_diff.py OTHER_CHECKOUT
+
+Each command runs in a fresh `python -m qdlab.cli` process with
+`PYTHONPATH=<checkout>/src`, once with `--format csv` and once with
+`--format json`. Every command whose exit code or report differs is printed
+with the start of a diff of its two reports (this checkout's lines marked
+`+`). An exit that printed a Python traceback counts as its own exit code.
+Exits 1 if any report or exit code differs, 0 if none does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+# One command of each benchmark workload shape, each gated `dpp check`
+# outcome, the other subcommands at small sizes, and refused inputs.
+COMMANDS = (
+    # compare-ap and qdisc-search
+    "compare --ap-min 6 --ap-max 12 --random-count 0 --restarts 1 --sweeps 1 --seed 2101",
+    "compare --ap-min 20 --ap-max 20 --random-count 0 --restarts 1 --sweeps 1 --seed 2102",
+    "qdisc --random-n 24 --random-m 96 --restarts 1 --sweeps 2 --seed 2103",
+    # mc-small and dpp-large
+    "dpp sample --kind random --n 8 --trials 625 --seed 2104",
+    "haar --n-grid 2 3 4 5 6 7 8 --trials 625 --seed 2105",
+    "dpp sample --kind projection --n 128 --trials 50 --seed 2106",
+    # dpp check: a gate failure (exit 3) and the acceptance config (exit 0)
+    "dpp check --seed 1",
+    "dpp check --kind random --n 4 --trials 4000 --seed 5",
+    "ubound --n 8 --m-grid 4 64 --trials 100 --probe-trials 2000 --seed 1",
+    "lbound --n-grid 8 16 --seed 1",
+    "disc --ap 12",
+    "disc --ap 12 --heuristic --seed 1",
+    # out-of-range counts: a usage error (exit 1) and validation failures (exit 2)
+    "ubound --n 4 --m-grid 4 --trials 0 --c 1 --seed 1",
+    "qdisc --random-n 4 --random-m 3 --plane-cap -2 --seed 1",
+    "disc --ap 0",
+)
+FORMATS = ("csv", "json")
+# Diff lines printed per differing report, and characters per line (a
+# dpp-large summary line holds the whole 128 x 128 kernel).
+MAX_LINES = 20
+MAX_WIDTH = 160
+
+
+def run(checkout: Path, argv: list[str]) -> tuple[str, str]:
+    """Exit code and stdout of one qdlab command run from `checkout`'s src."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run([sys.executable, "-m", "qdlab.cli", *argv], env=env, capture_output=True, text=True)
+    traceback = " (traceback)" if "Traceback" in proc.stderr else ""
+    return f"{proc.returncode}{traceback}", proc.stdout
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Compare qdlab reports between two checkouts.")
+    parser.add_argument("other", type=Path, help="the other checkout: a directory holding src/qdlab")
+    other = parser.parse_args(argv).other.resolve()
+    if not (other / "src" / "qdlab").is_dir():
+        parser.error(f"{other} holds no src/qdlab")
+    differ = 0
+    for command in COMMANDS:
+        for fmt in FORMATS:
+            args = [*shlex.split(command), "--format", fmt]
+            (code, text), (other_code, other_text) = run(HERE, args), run(other, args)
+            if (code, text) == (other_code, other_text):
+                continue
+            differ += 1
+            print(f"=== qdlab {command} --format {fmt}: exit {code} here, {other_code} in {other}")
+            diff = difflib.unified_diff(other_text.splitlines(), text.splitlines(), lineterm="", n=0)
+            for line in list(diff)[2 : 2 + MAX_LINES]:
+                print(line if len(line) <= MAX_WIDTH else line[:MAX_WIDTH] + "...")
+    print(f"{differ} of {len(COMMANDS) * len(FORMATS)} reports differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
