@@ -27,7 +27,7 @@ from .combdisc import DEFAULT_EXHAUSTIVE_CAP, disc_exact, disc_heuristic
 from .concentration import comparison_check, lower_bound_constants
 from .dpp import exact_distribution, sample_many, sample_masks, size_pmf, validate_kernel
 from .errors import GroundSetTooLarge, QdlabError, ValidationError
-from .matcore import matrix_from_json, matrix_to_json
+from .matcore import BATCH_ENTRIES, matrix_from_json, matrix_to_json
 from .qdisc import QdiscEstimate, delta_event_count, delta_thresholds, objective, qdisc_estimate
 from .randmat import (
     concentration_probe,
@@ -69,9 +69,10 @@ def _py(v):
 
 def render_report(subcommand: str, config: dict, rows: list[dict], summary: dict, fmt: str) -> str:
     """The report text. JSON converts numpy values through `_py` (a numpy
-    float64 is a float and prints as one); CSV takes its columns from the
-    first row's keys and converts each value, since csv prints a non-str
-    value through its own str, and writes None as an empty field."""
+    float64 is a float and prints as one). CSV takes its columns from the
+    first row's keys; its cells are scalars, which csv prints through str
+    (the same text for a numpy scalar as for its Python value), with None as
+    an empty field."""
     if fmt == "json":
         doc = {"format": FORMAT_VERSION, "subcommand": subcommand, "version": __version__, "config": config,
                "columns": list(rows[0]), "rows": rows, "summary": summary}
@@ -82,7 +83,7 @@ def render_report(subcommand: str, config: dict, rows: list[dict], summary: dict
     buf.write(f"# config: {canon(config)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rows[0].keys())
-    writer.writerows([_py(v) for v in row.values()] for row in rows)
+    writer.writerows(row.values() for row in rows)
     buf.write(f"# summary: {canon(summary)}\n")
     return buf.getvalue()
 
@@ -177,7 +178,6 @@ _SCHEMAS: dict[str, dict[str, Option]] = {
         "kind": Option("random", "built-in kernel", choices=("uniform", "random", "projection")),
         "n": Option(6, "dimension for built-in kernels"),
         "trials": Option(20000),
-        "tv_gate": Option(0.02),
         "z_gate": Option(4.0),
     },
     "compare": {
@@ -196,6 +196,9 @@ _SCHEMAS: dict[str, dict[str, Option]] = {
         "z_gate": Option(4.0),
     },
 }
+
+# Multinomial replicates of an exact law behind each TV gate of `dpp check`.
+TV_REPLICATES = 999
 
 # Largest trial count of any option, above every default (haar's 100000) and
 # every tested value: a command's per-trial arrays hold at most 2^20 rows.
@@ -475,8 +478,31 @@ def _resolve_kernel(cfg: dict, child: np.random.SeedSequence):
     return validate_kernel(random_projection(n, child).matrix)  # kind == "projection"
 
 
+def _tv_row(check: str, counts: np.ndarray, law: np.ndarray, rng: np.random.Generator) -> dict:
+    """The TV distance of the empirical law `counts / trials` from `law`,
+    gated at the largest TV of TV_REPLICATES multinomial(trials, law)
+    replicates (a Monte Carlo test; Barnard 1963, Hope 1968). Exact draws
+    and the replicates are exchangeable, so an exact sampler passes with
+    probability at least 1 - 1 / (TV_REPLICATES + 1). The replicates draw
+    from the law clipped at 0 and renormalised, in stacks of about
+    BATCH_ENTRIES counts."""
+    trials = int(counts.sum())
+    p = np.clip(law, 0.0, None)
+    p /= p.sum()
+    chunk = max(1, BATCH_ENTRIES // law.size)
+
+    def tv(c):
+        return float(0.5 * np.abs(c / trials - law).sum(axis=-1).max())
+
+    value = tv(counts)
+    gate = max(tv(rng.multinomial(trials, p, size=min(chunk, TV_REPLICATES - lo)))
+               for lo in range(0, TV_REPLICATES, chunk))
+    return {"check": check, "index": "", "value": value, "reference": 0.0, "gate": gate, "passed": value <= gate}
+
+
 def cmd_dpp(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
-    kernel_child, draw_child = root.spawn(2)
+    # both actions draw from one stream of the draw child; check's TV gates from the third child
+    kernel_child, draw_child, gate_child = root.spawn(3)
     kernel = _resolve_kernel(cfg, kernel_child)
     trials = int(cfg["trials"])
     if trials < 1:
@@ -498,30 +524,22 @@ def cmd_dpp(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
 
     # action == "check": compare empirical statistics against exact laws
     n = kernel.dim
-    dist = exact_distribution(kernel)  # raises GroundSetTooLarge past the cap
-    # one child stream per trial; see sample_masks for why check keeps them
-    members = sample_masks(kernel, trials, draw_child, spawn=True)
-    incl_counts = members.sum(axis=0)
-    size_counts = np.bincount(members.sum(axis=1), minlength=n + 1)
-    emp = np.bincount(members @ (1 << np.arange(n)), minlength=1 << n) / trials
-    exact = np.array([dist[t] for t in dist])
-    subset_tv = 0.5 * float(np.abs(emp - exact).sum())
-    size_tv = 0.5 * float(np.abs(size_counts / trials - size_pmf(kernel)).sum())
-    tv_gate, z_gate = float(cfg["tv_gate"]), float(cfg["z_gate"])
+    exact = np.array(list(exact_distribution(kernel).values()))  # raises GroundSetTooLarge past the cap
+    members = sample_masks(kernel, trials, draw_child)
+    rng = np.random.default_rng(gate_child)
     rows = [
-        {"check": "subset_tv", "index": "", "value": subset_tv, "reference": 0.0,
-         "gate": tv_gate, "passed": subset_tv <= tv_gate},
-        {"check": "size_tv", "index": "", "value": size_tv, "reference": 0.0,
-         "gate": tv_gate, "passed": size_tv <= tv_gate},
+        _tv_row("subset_tv", np.bincount(members @ (1 << np.arange(n)), minlength=1 << n), exact, rng),
+        _tv_row("size_tv", np.bincount(members.sum(axis=1), minlength=n + 1), size_pmf(kernel), rng),
     ]
+    z_gate = float(cfg["z_gate"])
     diag = kernel.array.diagonal().real
     for i in range(n):
         p = float(diag[i])
-        z = z_score(incl_counts[i] / trials, p, math.sqrt(max(p * (1 - p), 0.0) / trials))
+        z = z_score(np.count_nonzero(members[:, i]) / trials, p, math.sqrt(max(p * (1 - p), 0.0) / trials))
         rows.append({"check": "inclusion_z", "index": i + 1, "value": z, "reference": p,
                      "gate": z_gate, "passed": abs(z) <= z_gate})
-    return rows, {"trials": trials, "all_pass": all(r["passed"] for r in rows), "subset_tv": subset_tv,
-                  "size_tv": size_tv}
+    return rows, {"trials": trials, "all_pass": all(r["passed"] for r in rows), "subset_tv": rows[0]["value"],
+                  "size_tv": rows[1]["value"], "tv_alarm_rate": 1 / (TV_REPLICATES + 1)}
 
 
 def cmd_compare(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:

@@ -21,7 +21,7 @@ from .errors import (
     SpectrumOutOfRange,
     ValidationError,
 )
-from .matcore import BATCH_ENTRIES, HermitianMatrix, imbalance_terms, make_hermitian, seed_sequence
+from .matcore import BATCH_ENTRIES, HermitianMatrix, imbalance_terms, make_hermitian
 
 SPECTRUM_TOL = 1e-10
 # Eigenvalues this close to 0 or 1 are snapped exactly, so projection kernels
@@ -104,32 +104,24 @@ def sample(kernel: DPPKernel, seed) -> ProcessSample:
     return sample_many(kernel, 1, seed)[0]
 
 
-def sample_many(kernel: DPPKernel, trials: int, seed, spawn: bool = False) -> list[ProcessSample]:
+def sample_many(kernel: DPPKernel, trials: int, seed) -> list[ProcessSample]:
     """The draws of `sample_masks` as ProcessSamples."""
     points = np.arange(1, kernel.dim + 1)
-    return [ProcessSample(tuple(points[row].tolist())) for row in sample_masks(kernel, trials, seed, spawn)]
+    return [ProcessSample(tuple(points[row].tolist())) for row in sample_masks(kernel, trials, seed)]
 
 
-def sample_masks(kernel: DPPKernel, trials: int, seed, spawn: bool = False) -> np.ndarray:
+def sample_masks(kernel: DPPKernel, trials: int, seed) -> np.ndarray:
     """Draw `trials` exact samples as a (trials, N) bool array whose row t
     marks the points of draw t.
 
-    Each draw reads N phase-1 uniforms, one per eigenvector, then one phase-2
-    uniform per kept eigenvector. With spawn=False every draw reads the next
-    uniforms of the single stream `default_rng(seed)` (which reads ahead in
-    blocks, so a Generator passed as `seed` ends past the last draw);
-    spawn=True derives an independent child stream per trial index, at the
-    cost of one SeedSequence and one Generator per draw (625 draws at N = 8
-    take about 12 ms, against under 3 ms on one stream). `dpp check` is its
-    only caller: its fixed TV gate sits at the noise floor of an exact
-    sampler, and on one stream its acceptance config (random kernel, N = 4,
-    4000 trials, seed 5) exits 3, so it keeps the per-trial streams until
-    its gates have a stated false-alarm rate. The draws run in stacks whose
-    factors hold at most 4 BATCH_ENTRIES complex entries (1 MiB): a draw's
-    factor has at most rank x N entries, rank the count of nonzero
-    eigenvalues. A draw reads the same uniforms as the Schur-complement draw
-    made alone; its residual weights agree with that draw's to about 1e-16
-    relative, so the two can differ only where a uniform lands within
+    Draw after draw reads N phase-1 uniforms, one per eigenvector, then one
+    phase-2 uniform per kept eigenvector, from the one stream
+    `default_rng(seed)` (read ahead in blocks, so a Generator passed as
+    `seed` ends past the last draw). The draws run in stacks whose factors
+    hold at most 4 BATCH_ENTRIES complex entries (1 MiB): a draw's factor
+    has at most rank x N entries. A draw's residual weights agree with those
+    of the Schur-complement draw made alone on the same uniforms to about
+    1e-16 relative, so the two can differ only where a uniform lands within
     rounding of a cumulative-weight boundary (BLAS products may also round
     differently for different stack sizes).
     """
@@ -139,29 +131,18 @@ def sample_masks(kernel: DPPKernel, trials: int, seed, spawn: bool = False) -> n
     plus = kernel.eigenvalues > 0.0
     lam, vecs = kernel.eigenvalues[plus], kernel.eigenvectors[:, plus]
     chunk = max(1, 4 * BATCH_ENTRIES // (n * max(1, lam.size)))
-    uniforms = _spawned_uniforms if spawn else _stream_uniforms
     out = np.empty((trials, n), dtype=bool)
     lo = 0
-    for u in uniforms(kernel.eigenvalues, trials, seed, chunk):
+    for u in _stream_uniforms(kernel.eigenvalues, trials, seed, chunk):
         out[lo : lo + len(u)] = _place_points(vecs, u[:, :n][:, plus] < lam, u[:, n:])
         lo += len(u)
     return out
 
 
-def _spawned_uniforms(lam: np.ndarray, trials: int, seed, chunk: int):
-    """Uniform rows of `chunk` draws at a time, row t read from the t-th
-    child stream of `seed`. A row holds 2N values, of which a draw that keeps
-    k eigenvectors reads the first N + k."""
-    n = lam.size
-    children = seed_sequence(seed).spawn(trials)
-    for lo in range(0, trials, chunk):
-        yield np.array([np.random.default_rng(c).random(2 * n) for c in children[lo : lo + chunk]])
-
-
 def _stream_uniforms(lam: np.ndarray, trials: int, seed, chunk: int):
-    """Uniform rows of `chunk` draws at a time, cut from one stream: a draw
-    that keeps k eigenvectors reads N + k values, so the next draw starts
-    there. Rows hold 2N values, as in `_spawned_uniforms`."""
+    """Uniform rows of `chunk` draws at a time, cut from one stream. Row t
+    holds the 2N values from the start of draw t, of which a draw that keeps
+    k eigenvectors reads the first N + k, so the next draw starts there."""
     n = lam.size
     rng = np.random.default_rng(seed)
     buf = np.empty(0)

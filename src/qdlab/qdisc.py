@@ -417,9 +417,9 @@ def qdisc_estimate(
     """
     if restarts < 1:
         raise ValidationError("need restarts >= 1")
-    for name, count in (("sweeps", sweeps), ("plane_cap", plane_cap), ("refine_top", refine_top)):
-        if count is not None and count < 0:
-            raise ValidationError(f"need {name} >= 0, got {count}")
+    for name, count, least in (("sweeps", sweeps, 0), ("plane_cap", plane_cap, 1), ("refine_top", refine_top, 1)):
+        if count is not None and count < least:
+            raise ValidationError(f"need {name} >= {least}, got {count}")
     n = system.dim
     stacked = system.stacked()
     ranks = system.ranks().astype(float)
@@ -440,7 +440,7 @@ def qdisc_estimate(
         candidates.append((_plus_value(u, k, stacked, ranks), u, k, rng))
 
     order = sorted(range(len(candidates)), key=lambda t: (candidates[t][0], t))
-    refine_set = frozenset(order if refine_top is None else order[: max(1, refine_top)])
+    refine_set = frozenset(order if refine_top is None else order[:refine_top])
     best_value, best_u, best_k, best_converged = math.inf, None, 0, False
     for t in order:
         value, u, k, rng = candidates[t]

@@ -31,7 +31,7 @@ from qdlab.cli import (
     main,
     render_report,
 )
-from qdlab.dpp import sample_masks
+from qdlab.dpp import sample_masks, validate_kernel
 from qdlab.setsys import MAX_DENSE_ENTRIES, MAX_GROUND_SIZE, MAX_SET_COUNT, check_dense_size
 
 
@@ -81,7 +81,7 @@ class TestConfigHandling:
             (["dpp", "sample", "--seed", "1"], '{"trials": 2.5}'),
             (["dpp", "sample", "--seed", "1"], '{"n": true}'),
             (["dpp", "sample", "--seed", "1"], '{"kind": "bogus"}'),
-            (["dpp", "sample", "--seed", "1"], '{"tv_gate": "0.1"}'),
+            (["dpp", "sample", "--seed", "1"], '{"z_gate": "0.1"}'),
             (["haar", "--seed", "1"], '{"n_grid": 3}'),
             (["haar", "--seed", "1"], '{"n_grid": []}'),
             (["haar", "--seed", "1"], '{"n_grid": [2, 3.0]}'),
@@ -212,7 +212,7 @@ class TestDpp:
 
     def test_check_gate_failure_exit_code(self, tmp_path):
         code, _ = run(tmp_path, "c.csv", "dpp", "check", "--kind", "uniform", "--n", "4",
-                      "--trials", "500", "--tv-gate", "0.0001", "--seed", "6")
+                      "--trials", "500", "--z-gate", "1e-9", "--seed", "6")
         assert code == EXIT_GATE
 
     def test_check_dimension_cap(self, tmp_path):
@@ -229,15 +229,15 @@ class TestDpp:
 
 
 class TestDppStreams:
-    """`dpp sample` reads one stream and `dpp check` one child stream per
-    trial, both from the second child of the seed root. Either layout
-    changes every report of its action, so a switch must fail here."""
+    """Both `dpp` actions read their draws from one stream, that of the
+    second child of the seed root. Another layout changes every report of
+    both actions, so a switch must fail here."""
 
     @staticmethod
-    def _masks(kind, n, trials, seed, spawn):
+    def _masks(kind, n, trials, seed):
         kernel_child, draw_child = np.random.SeedSequence(seed).spawn(2)
         kernel = _resolve_kernel({"kernel": None, "kind": kind, "n": n}, kernel_child)
-        return sample_masks(kernel, trials, draw_child, spawn=spawn)
+        return sample_masks(kernel, trials, draw_child)
 
     @pytest.mark.parametrize("kind", ["uniform", "random", "projection"])
     @pytest.mark.parametrize("seed", [1, 5, 9])
@@ -245,24 +245,75 @@ class TestDppStreams:
         code, text = run(tmp_path, "s.json", "dpp", "sample", "--kind", kind, "--n", "5", "--trials", "60",
                          "--seed", str(seed), "--format", "json")
         assert code == 0
-        masks = self._masks(kind, 5, 60, seed, spawn=False)
+        masks = self._masks(kind, 5, 60, seed)
         points = [[int(p) for p in row["points"].split()] for row in json.loads(text)["rows"]]
         assert points == [(np.flatnonzero(m) + 1).tolist() for m in masks]
 
     @pytest.mark.parametrize("kind", ["uniform", "random", "projection"])
     @pytest.mark.parametrize("seed", [1, 5, 9])
-    def test_check_reads_one_child_stream_per_trial(self, tmp_path, kind, seed):
+    def test_check_reads_one_stream(self, tmp_path, kind, seed):
         trials = 400
         code, text = run(tmp_path, "c.json", "dpp", "check", "--kind", kind, "--n", "4", "--trials", str(trials),
-                         "--tv-gate", "1", "--z-gate", "1e300", "--seed", str(seed), "--format", "json")
+                         "--z-gate", "1e300", "--seed", str(seed), "--format", "json")
         assert code == 0
-        masks = self._masks(kind, 4, trials, seed, spawn=True)
+        masks = self._masks(kind, 4, trials, seed)
         # invert each inclusion z back to its count of draws holding the point
         counts = [
             round(trials * (r["reference"] + r["value"] * math.sqrt(r["reference"] * (1 - r["reference"]) / trials)))
             for r in json.loads(text)["rows"] if r["check"] == "inclusion_z"
         ]
         assert counts == masks.sum(axis=0).tolist()
+
+
+def _shifted_draws(shift):
+    """A stand-in for `sample_masks` that draws from the kernel with the
+    eigenvalue nearest 1/2 moved by `shift`: a sampler with a planted fault."""
+    def draw(kernel, trials, seed):
+        lam = kernel.eigenvalues.copy()
+        lam[np.abs(lam - 0.5).argmin()] += shift
+        vecs = kernel.eigenvectors
+        return sample_masks(validate_kernel((vecs * lam) @ vecs.conj().T), trials, seed)
+    return draw
+
+
+class TestDppCheckGates:
+    """Each TV row of `dpp check` is gated at the largest TV of 999
+    multinomial replicates of its exact law, so an exact sampler fails it
+    with probability at most 1/1000."""
+
+    @staticmethod
+    def _check(tmp_path, *argv):
+        code, text = run(tmp_path, "c.json", "dpp", "check", *argv, "--format", "json")
+        return code, json.loads(text)
+
+    def test_defaults_pass_on_twenty_seeds(self, tmp_path):
+        for seed in range(1, 21):
+            code, doc = self._check(tmp_path, "--seed", str(seed))
+            assert code == 0, (seed, doc["rows"][:2])
+            assert doc["summary"]["tv_alarm_rate"] == 0.001
+            assert all(0.0 < r["gate"] < 0.05 for r in doc["rows"][:2])
+
+    def test_shifted_eigenvalue_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("qdlab.cli.sample_masks", _shifted_draws(0.05))
+        caught = 0
+        for seed in range(1, 21):
+            code, doc = self._check(tmp_path, "--seed", str(seed))
+            caught += code == EXIT_GATE and not all(r["passed"] for r in doc["rows"][:2])
+        assert caught >= 19
+
+    def test_projection_size_tv_passes_its_zero_gate(self, tmp_path):
+        # every draw of a projection kernel has its rank as size, and so has
+        # every replicate of the size law
+        code, doc = self._check(tmp_path, "--kind", "projection", "--n", "5", "--trials", "3000", "--seed", "2")
+        assert code == 0
+        size = doc["rows"][1]
+        assert size["check"] == "size_tv" and size["value"] == size["gate"] == 0.0 and size["passed"]
+
+    def test_tv_gate_option_is_gone(self, tmp_path):
+        assert main(["dpp", "check", "--tv-gate", "1", "--seed", "1"]) == EXIT_USAGE
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tv_gate": 0.02}))
+        assert main(["dpp", "check", "--seed", "1", "--config", str(cfg)]) == EXIT_USAGE
 
 
 class TestHaar:
@@ -303,8 +354,8 @@ class TestReportEnvelope:
             (["lbound", "--n-grid", "4", "--m-cap", "8", "--seed", "4"],
              "n,m,m_requested,regime_ok,estimate,ratio,zeta_scaled"),
             (["dpp", "sample", "--kind", "random", "--n", "3", "--trials", "5", "--seed", "5"], "trial,size,points"),
-            (["dpp", "check", "--kind", "uniform", "--n", "3", "--trials", "200", "--tv-gate", "1",
-              "--z-gate", "1e300", "--seed", "5"], "check,index,value,reference,gate,passed"),
+            (["dpp", "check", "--kind", "uniform", "--n", "3", "--trials", "200", "--z-gate", "1e300", "--seed", "5"],
+             "check,index,value,reference,gate,passed"),
             (["compare", "--ap-min", "4", "--ap-max", "4", "--random-count", "0", "--restarts", "1",
               "--sweeps", "1", "--seed", "1"],
              "system_id,n,m,disc,qdisc_est,min_feasible_c_log,min_feasible_c_sqrt_log,sandwich_ok"),
@@ -363,7 +414,7 @@ def _reference_render(subcommand, config, rows, summary, fmt):
     return buf.getvalue()
 
 
-_CONFIG = {"seed": 3, "n_grid": [2, 3], "tv_gate": 0.02, "kernel": None, "format": "csv"}
+_CONFIG = {"seed": 3, "n_grid": [2, 3], "z_gate": 4.0, "kernel": None, "format": "csv"}
 _NUMPY_ROWS = [
     {"x": np.float64(0.1), "k": np.int64(-3), "ok": np.bool_(True), "empty": None, "nan": np.float64("nan"),
      "text": 'a, "quoted" b', "arr": np.arange(3)},
@@ -385,8 +436,10 @@ class TestRenderReport:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_numpy_values(self, fmt):
-        got = render_report("demo", _CONFIG, _NUMPY_ROWS, _NUMPY_SUMMARY, fmt)
-        assert got == _reference_render("demo", _CONFIG, _NUMPY_ROWS, _NUMPY_SUMMARY, fmt)
+        # CSV cells are scalars: the array column is a JSON-only case
+        rows = _NUMPY_ROWS if fmt == "json" else [{k: v for k, v in r.items() if k != "arr"} for r in _NUMPY_ROWS]
+        got = render_report("demo", _CONFIG, rows, _NUMPY_SUMMARY, fmt)
+        assert got == _reference_render("demo", _CONFIG, rows, _NUMPY_SUMMARY, fmt)
 
     @pytest.mark.parametrize(
         "argv",
@@ -521,6 +574,8 @@ class TestMalformedInput:
             (["lbound", "--n-grid", "4", "--m-cap", "8", "--plane-cap", "-2"], EXIT_VALIDATION),
             (["lbound", "--n-grid", "4", "--m-cap", "8", "--sweeps", "-1"], EXIT_VALIDATION),
             (["disc", "--ap", "0"], EXIT_VALIDATION),
+            (["qdisc", "--random-n", "4", "--random-m", "3", "--plane-cap", "0"], EXIT_VALIDATION),
+            (["qdisc", "--random-n", "4", "--random-m", "3", "--refine-top", "0"], EXIT_VALIDATION),
         ],
     )
     def test_out_of_range_count(self, tmp_path, capsys, argv, code):
@@ -841,7 +896,7 @@ class TestFuzzedInput:
     @pytest.mark.parametrize(
         "argv, keys",
         [
-            (["dpp", "sample"], ["kernel", "kind", "n", "trials", "tv_gate", "z_gate", "format", "out"]),
+            (["dpp", "sample"], ["kernel", "kind", "n", "trials", "z_gate", "format", "out"]),
             (["haar", "--z-gate", "1e300"], ["n_grid", "trials", "z_gate", "format"]),
             (["disc"], ["input", "ap", "random_n", "random_m", "heuristic", "trials", "cap", "format"]),
         ],

@@ -29,7 +29,7 @@ from qdlab.errors import (
     SpectrumOutOfRange,
     ValidationError,
 )
-from qdlab.matcore import BATCH_ENTRIES, seed_sequence
+from qdlab.matcore import BATCH_ENTRIES
 
 from conftest import brute_force_imbalance
 
@@ -61,15 +61,11 @@ def reference_draw(kernel, rng):
     return tuple(sorted(p + 1 for p in chosen))
 
 
-def reference_masks(kernel, trials, seed, spawn):
-    """`trials` reference draws as a mask array, read from one stream or from
-    one spawned child stream per draw."""
-    if spawn:
-        rngs = [np.random.default_rng(c) for c in seed_sequence(seed).spawn(trials)]
-    else:
-        rngs = [np.random.default_rng(seed)] * trials
+def reference_masks(kernel, trials, seed):
+    """`trials` reference draws as a mask array, read from one stream."""
+    rng = np.random.default_rng(seed)
     masks = np.zeros((trials, kernel.dim), dtype=bool)
-    for t, rng in enumerate(rngs):
+    for t in range(trials):
         masks[t, [p - 1 for p in reference_draw(kernel, rng)]] = True
     return masks
 
@@ -136,12 +132,6 @@ class TestSampling:
         k = random_kernel(5, 0)
         assert sample(k, 7).points == sample(k, 7).points
 
-    def test_spawned_streams_replay(self):
-        k = random_kernel(5, 0)
-        a = [s.points for s in sample_many(k, 20, 3, spawn=True)]
-        b = [s.points for s in sample_many(k, 20, 3, spawn=True)]
-        assert a == b
-
     def test_empirical_tv_small(self):
         k = random_kernel(5, 21)
         trials = 30_000
@@ -172,63 +162,57 @@ class TestSampling:
 
 
 class TestSampleMasks:
-    @pytest.mark.parametrize("spawn", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 12])
-    def test_equals_reference_draws(self, n, spawn):
+    def test_equals_reference_draws(self, n):
         for i in range(3):
             k = random_kernel(n, (41, n, i))
-            assert np.array_equal(sample_masks(k, 40, (42, i), spawn), reference_masks(k, 40, (42, i), spawn))
+            assert np.array_equal(sample_masks(k, 40, (42, i)), reference_masks(k, 40, (42, i)))
 
-    @pytest.mark.parametrize("spawn", [False, True])
     @pytest.mark.parametrize("n", [3, 8])
-    def test_chunk_edges(self, n, spawn):
+    def test_chunk_edges(self, n):
         chunk = BATCH_ENTRIES // n**2
         k = random_kernel(n, (43, n))
         for trials in (chunk - 1, chunk, chunk + 1):
-            assert np.array_equal(sample_masks(k, trials, 44, spawn), reference_masks(k, trials, 44, spawn))
+            assert np.array_equal(sample_masks(k, trials, 44), reference_masks(k, trials, 44))
 
-    @pytest.mark.parametrize("spawn", [False, True])
-    def test_large_projection(self, spawn):
+    def test_large_projection(self):
         p = random_projection(128, 45)
         k = validate_kernel(p.array)
-        masks = sample_masks(k, 3, 46, spawn)
-        assert np.array_equal(masks, reference_masks(k, 3, 46, spawn))
+        masks = sample_masks(k, 3, 46)
+        assert np.array_equal(masks, reference_masks(k, 3, 46))
         assert (masks.sum(axis=1) == 64).all()
 
-    @pytest.mark.parametrize("spawn", [False, True])
     @pytest.mark.parametrize("n, projection", [(3, False), (8, False), (128, True)])
-    def test_stack_edges(self, n, projection, spawn):
+    def test_stack_edges(self, n, projection):
         # a stack holds 4 BATCH_ENTRIES factor entries, rank x N per draw
         k = validate_kernel(random_projection(n, 52).array) if projection else random_kernel(n, (52, n))
         chunk = 4 * BATCH_ENTRIES // (n * np.count_nonzero(k.eigenvalues))
         assert chunk > 1
         for trials in (chunk - 1, chunk, chunk + 1):
-            assert np.array_equal(sample_masks(k, trials, 53, spawn), reference_masks(k, trials, 53, spawn))
+            assert np.array_equal(sample_masks(k, trials, 53), reference_masks(k, trials, 53))
 
-    @pytest.mark.parametrize("spawn", [False, True])
-    def test_few_hundred_points(self, spawn):
+    def test_few_hundred_points(self):
         # the dense size the README claims, one draw per stack
         k = validate_kernel(random_projection(300, 54).array)
         assert np.count_nonzero(k.eigenvalues) == 150
-        masks = sample_masks(k, 3, 55, spawn)
-        assert np.array_equal(masks, reference_masks(k, 3, 55, spawn))
+        masks = sample_masks(k, 3, 55)
+        assert np.array_equal(masks, reference_masks(k, 3, 55))
         assert (masks.sum(axis=1) == 150).all()
 
-    @pytest.mark.parametrize("spawn", [False, True])
-    def test_zero_and_identity_kernels(self, spawn):
+    def test_zero_and_identity_kernels(self):
         for matrix in (np.zeros((4, 4)), np.eye(4)):
             k = validate_kernel(matrix)
-            masks = sample_masks(k, 30, 47, spawn)
-            assert np.array_equal(masks, reference_masks(k, 30, 47, spawn))
+            masks = sample_masks(k, 30, 47)
+            assert np.array_equal(masks, reference_masks(k, 30, 47))
             assert (masks == bool(matrix[0, 0])).all()
 
     def test_sample_and_sample_many_wrap_the_masks(self):
         k = random_kernel(6, 48)
         for seed in range(5):
             assert sample(k, seed).points == reference_draw(k, np.random.default_rng(seed))
-        masks = sample_masks(k, 20, 49, spawn=True)
+        masks = sample_masks(k, 20, 49)
         points = [tuple(np.flatnonzero(m) + 1) for m in masks]
-        assert [s.points for s in sample_many(k, 20, 49, spawn=True)] == points
+        assert [s.points for s in sample_many(k, 20, 49)] == points
 
     def test_trials_below_one_rejected(self):
         k = random_kernel(3, 50)
@@ -240,9 +224,8 @@ class TestSampleMasks:
         # a tolerance above any projection's mass makes the first step break down
         monkeypatch.setattr(dpp, "_BREAKDOWN_TOL", 1e3)
         k = validate_kernel(np.eye(3))
-        for spawn in (False, True):
-            with pytest.raises(NumericalBreakdown):
-                sample_masks(k, 5, 51, spawn)
+        with pytest.raises(NumericalBreakdown):
+            sample_masks(k, 5, 51)
 
 
 class TestRestriction:

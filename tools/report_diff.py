@@ -23,8 +23,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 
-# One command of each benchmark workload shape, each gated `dpp check`
-# outcome, the other subcommands at small sizes, and refused inputs.
+# One command of each benchmark workload shape, three `dpp check` configs,
+# the other subcommands at small sizes, and refused inputs.
 COMMANDS = (
     # compare-ap and qdisc-search
     "compare --ap-min 6 --ap-max 12 --random-count 0 --restarts 1 --sweeps 1 --seed 2101",
@@ -34,9 +34,11 @@ COMMANDS = (
     "dpp sample --kind random --n 8 --trials 625 --seed 2104",
     "haar --n-grid 2 3 4 5 6 7 8 --trials 625 --seed 2105",
     "dpp sample --kind projection --n 128 --trials 50 --seed 2106",
-    # dpp check: a gate failure (exit 3) and the acceptance config (exit 0)
+    # dpp check: the README example, the acceptance config and a projection
+    # kernel (whose size law is a point mass); all three exit 0
     "dpp check --seed 1",
     "dpp check --kind random --n 4 --trials 4000 --seed 5",
+    "dpp check --kind projection --n 5 --trials 3000 --seed 2",
     "ubound --n 8 --m-grid 4 64 --trials 100 --probe-trials 2000 --seed 1",
     "lbound --n-grid 8 16 --seed 1",
     "disc --ap 12",
@@ -44,6 +46,8 @@ COMMANDS = (
     # out-of-range counts: a usage error (exit 1) and validation failures (exit 2)
     "ubound --n 4 --m-grid 4 --trials 0 --c 1 --seed 1",
     "qdisc --random-n 4 --random-m 3 --plane-cap -2 --seed 1",
+    "qdisc --random-n 4 --random-m 3 --plane-cap 0 --seed 1",
+    "qdisc --random-n 4 --random-m 3 --refine-top 0 --seed 1",
     "disc --ap 0",
 )
 FORMATS = ("csv", "json")
