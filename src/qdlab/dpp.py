@@ -246,13 +246,16 @@ def exact_distribution(kernel: DPPKernel, cap: int = EXACT_DISTRIBUTION_CAP) -> 
         raise GroundSetTooLarge(f"exact distribution over 2^{n} subsets exceeds cap {cap}")
     size = 1 << n
     arr = kernel.array
+    masks = np.arange(size)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    counts = bits.sum(axis=1)
     rho = np.empty(size)
     rho[0] = 1.0
-    for m in range(1, size):
-        idx = np.flatnonzero([(m >> b) & 1 for b in range(n)])
-        rho[m] = np.linalg.det(arr[np.ix_(idx, idx)]).real
+    for s in range(1, n + 1):  # one stacked det over the subsets of each size
+        sel = np.flatnonzero(counts == s)
+        idx = np.nonzero(bits[sel])[1].reshape(sel.size, s)
+        rho[sel] = np.linalg.det(arr[idx[:, :, None], idx[:, None, :]]).real
     probs = rho.copy()
-    masks = np.arange(size)
     for b in range(n):
         lower = masks[(masks & (1 << b)) == 0]
         probs[lower] -= probs[lower | (1 << b)]

@@ -285,39 +285,54 @@ def _angle_basis(theta: np.ndarray) -> np.ndarray:
 
 
 # The line search's angles k pi / 512; every 8th is a coarse-grid angle.
-# objective^2 has period pi in theta, so a window around one may wrap.
+# objective^2 has period pi in theta, so a window around one may wrap:
+# _WINDOWS[c] holds the 15 table rows from 7 before coarse angle c to 7 after.
 _THETAS = np.linspace(0.0, math.pi, 8 * ANGLE_GRID, endpoint=False)
 _TABLE = _angle_basis(_THETAS)
+_WINDOW_ROWS = (8 * np.arange(ANGLE_GRID)[:, None] + np.arange(-7, 8)) % _THETAS.size
+_WINDOWS = _TABLE[_WINDOW_ROWS]
 
 
 class _PlaneSearch:
     """Jacobi-style state of one candidate: U, k and the rotated projections
     W_m = U* P_m U. Rotating the plane (i, j), i < k <= j, is a Givens update
-    of two columns of U and two rows and columns of W."""
+    of two columns of U and two rows and columns of W; it carries t1 = tr of
+    the plus block and v0 = objective^2, which `reread` reads off W."""
 
     def __init__(self, u: np.ndarray, k: int, stacked: np.ndarray, ranks: np.ndarray):
         self.u = u.copy()
         self.k = k
         self.ranks = ranks
         self.w = _rotated(u, stacked)
-        self.t1, self.v0 = imbalance_terms(self.w[:, :k, :k], ranks)
+        self.reread()
+
+    def reread(self) -> None:
+        """Read t1 and v0 off the plus block, O(M k^2); once per sweep bounds their rounding drift."""
+        self.t1, self.v0 = imbalance_terms(self.w[:, : self.k, : self.k], self.ranks)
+        self.row = None
 
     def plane_terms(self, i: int, j: int) -> np.ndarray:
         """(v0, Delta, h) of the plane (i, j): with alpha = W_ii, beta = W_jj,
         gamma = W_ij and off_a, off_b, off_ab the sums of |W_li|^2, |W_lj|^2 and
         Re(conj(W_li) W_lj) over the plus rows l != i, kappa = 8 (t1 - alpha) -
         4 r + 4, Delta = kappa (beta - alpha) - 8 (off_b - off_a) and
-        h = kappa Re(gamma) - 8 off_ab."""
-        a, b = self.w[:, : self.k, i], self.w[:, : self.k, j]
-        alpha, beta, gamma = a[:, i].real, self.w[:, j, j].real, b[:, i]
-        off_a = np.einsum("ml,ml->m", a.conj(), a).real - alpha**2
+        h = kappa Re(gamma) - 8 off_ab. The terms of column i alone are kept
+        for the next j until a rotation."""
+        if self.row is None or self.row[0] != i:
+            a = self.w[:, : self.k, i]
+            a_conj, alpha = a.conj(), a[:, i].real
+            off_a = np.einsum("ml,ml->m", a_conj, a).real - alpha**2
+            self.row = i, a_conj, alpha, off_a, 8.0 * (self.t1 - alpha) - 4.0 * self.ranks + 4.0
+        _, a_conj, alpha, off_a, kappa = self.row
+        b = self.w[:, : self.k, j]
+        beta, gamma = self.w[:, j, j].real, b[:, i]
         off_b = np.einsum("ml,ml->m", b.conj(), b).real - np.abs(gamma) ** 2
-        off_ab = np.einsum("ml,ml->m", a.conj(), b).real - alpha * gamma.real
-        kappa = 8.0 * (self.t1 - alpha) - 4.0 * self.ranks + 4.0
+        off_ab = np.einsum("ml,ml->m", a_conj, b).real - alpha * gamma.real
         delta = kappa * (beta - alpha) - 8.0 * (off_b - off_a)
         return np.stack((self.v0, delta, kappa * gamma.real - 8.0 * off_ab))
 
-    def rotate(self, i: int, j: int, theta: float) -> None:
+    def rotate(self, i: int, j: int, theta: float, squares: np.ndarray) -> None:
+        """Rotate the plane (i, j) by theta; `squares` is objective^2 at theta, as scored."""
         c, s = math.cos(theta), math.sin(theta)
         u, w = self.u, self.w
         u[:, i], u[:, j] = c * u[:, i] + s * u[:, j], -s * u[:, i] + c * u[:, j]
@@ -329,9 +344,10 @@ class _PlaneSearch:
         col_j[:, j] = s * s * alpha + c * c * beta - 2.0 * c * s * gamma.real
         col_j[:, i] = c * s * (beta - alpha) + c * c * gamma - s * s * gamma.conj()
         col_i[:, j] = col_j[:, i].conj()
+        self.t1 = self.t1 + (col_i[:, i].real - alpha)
         w[:, :, i], w[:, :, j] = col_i, col_j
         w[:, i, :], w[:, j, :] = col_i.conj(), col_j.conj()
-        self.t1, self.v0 = imbalance_terms(w[:, : self.k, : self.k], self.ranks)
+        self.v0, self.row = squares, None
 
 
 def _refine(
@@ -345,6 +361,7 @@ def _refine(
     state = _PlaneSearch(u, k, stacked, ranks)
     best, converged = value, False
     for _ in range(sweeps):
+        state.reread()
         sweep_planes = planes
         if plane_cap is not None and len(planes) > plane_cap:
             idx = rng.choice(len(planes), size=plane_cap, replace=False)
@@ -353,12 +370,13 @@ def _refine(
         for i, j in sweep_planes:
             # the coarse argmin, then the argmin of the 15 table angles around it
             terms = state.plane_terms(i, j)
-            window = 8 * int(_root_max(_TABLE[::8] @ terms).argmin()) + np.arange(-7, 8)
-            vals = _root_max(np.take(_TABLE, window, axis=0, mode="wrap") @ terms)
+            coarse = int(_root_max(_TABLE[::8] @ terms).argmin())
+            squares = _WINDOWS[coarse] @ terms
+            vals = _root_max(squares)
             q = int(vals.argmin())
             if vals[q] < best - _IMPROVE_TOL:
-                state.rotate(i, j, float(_THETAS[window[q] % _THETAS.size]))
-                best = float(_root_max(state.v0))
+                state.rotate(i, j, float(_THETAS[_WINDOW_ROWS[coarse, q]]), squares[q])
+                best = float(vals[q])
                 improved = True
         if not improved:
             converged = True

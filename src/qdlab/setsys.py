@@ -161,9 +161,10 @@ def arithmetic_progressions(n: int) -> SetSystem:
     seen: dict[tuple[int, ...], None] = {}
     for a in range(1, n + 1):
         for d in range(1, n + 1):
-            for l in range(1, n + 1):
+            # past l = (n - a) // d every progression is the same, saturated one
+            for l in range(1, max(1, (n - a) // d) + 1):
                 prog = tuple(x for k in range(l + 1) if (x := a + k * d) <= n)
-                if prog and prog not in seen:
+                if prog not in seen:
                     seen[prog] = None
     return SetSystem(n, tuple(seen.keys()))
 

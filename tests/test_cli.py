@@ -172,7 +172,7 @@ class TestQdisc:
         assert w.shape == (4, 4, 2)
 
     def test_random_system_at_n_and_m_64(self, tmp_path):
-        # the largest size README states for qdisc (about 2 s for one sweep)
+        # the largest size README states for qdisc (about 1.5 s for one sweep)
         code, text = run(tmp_path, "q.json", "qdisc", "--random-n", "64", "--random-m", "64", "--restarts", "1",
                          "--sweeps", "1", "--refine-top", "4", "--seed", "1", "--format", "json")
         assert code == 0

@@ -334,6 +334,24 @@ class TestExactDistribution:
         with pytest.raises(GroundSetTooLarge):
             exact_distribution(validate_kernel(0.5 * np.eye(15)))
 
+    def test_batched_determinants_equal_one_det_per_subset(self):
+        """The law from one stacked det per subset size is bit for bit the
+        Moebius inversion of one det per subset, on random and projection
+        kernels with N = 1..10 (the rank-1 projection at N = 1 is I)."""
+        projections = [np.eye(1)] + [random_projection(n, (81, n)).array for n in range(2, 11)]
+        kernels = [random_kernel(n, (80, n)) for n in range(1, 11)] + [validate_kernel(p) for p in projections]
+        for kernel in kernels:
+            n = kernel.dim
+            rho = np.ones(1 << n)
+            for m in range(1, 1 << n):
+                idx = np.flatnonzero([(m >> b) & 1 for b in range(n)])
+                rho[m] = np.linalg.det(kernel.array[np.ix_(idx, idx)]).real
+            masks = np.arange(1 << n)
+            for b in range(n):
+                lower = masks[(masks & (1 << b)) == 0]
+                rho[lower] -= rho[lower | (1 << b)]
+            assert np.array_equal(np.array(list(exact_distribution(kernel).values())), rho)
+
 
 class TestExpectedSquaredImbalance:
     def test_uniform_kernel(self):

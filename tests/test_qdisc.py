@@ -38,6 +38,7 @@ from qdlab.qdisc import (
     _objective_values,
     _permutation_unitary_for_signs,
     _PlaneSearch,
+    _plus_value,
     _root_max,
     _rotated,
     _unit_rows,
@@ -180,9 +181,9 @@ def logged_estimates(monkeypatch, system, **kwargs):
     new_log, ref_log = [], []
     rotate = _PlaneSearch.rotate
 
-    def logged_rotate(self, i, j, theta):
+    def logged_rotate(self, i, j, theta, squares):
         new_log.append((self.k, i, j, theta))
-        rotate(self, i, j, theta)
+        rotate(self, i, j, theta, squares)
 
     with monkeypatch.context() as patch:
         patch.setattr(_PlaneSearch, "rotate", logged_rotate)
@@ -371,13 +372,26 @@ class TestPlaneSearch:
         state = _PlaneSearch(haar_unitary(n, 54), k, stacked, ranks)
         rng = np.random.default_rng(55)
         for _ in range(50):
-            state.rotate(int(rng.integers(k)), int(rng.integers(k, n)), float(rng.uniform(-math.pi, math.pi)))
+            i, j, theta = int(rng.integers(k)), int(rng.integers(k, n)), float(rng.uniform(-math.pi, math.pi))
+            state.rotate(i, j, theta, (_angle_basis(np.array([theta])) @ state.plane_terms(i, j))[0])
         u = state.u
         assert np.abs(state.w - u.conj().T @ stacked @ u).max() <= 1e-12
         assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-12
         assert np.array_equal(state.w, state.w.conj().swapaxes(1, 2))  # Hermitian by construction
+        # t1 and v0 are carried through the rotations, not re-read off W
         t1, t2 = trace_pair(state.w[:, :k, :k])
-        assert np.array_equal(state.v0, (2.0 * t1 - ranks) ** 2 + 4.0 * (t1 - t2))
+        assert np.abs(state.t1 - t1).max() <= 1e-12
+        assert np.abs(state.v0 - ((2.0 * t1 - ranks) ** 2 + 4.0 * (t1 - t2))).max() <= 1e-12
+
+    def test_carried_best_is_the_final_max_objective(self):
+        n, k = 24, 12
+        system = random_projection_system(n, 96, 56)
+        stacked, ranks = system.stacked(), system.ranks().astype(float)
+        u = haar_unitary(n, 57)
+        start = _plus_value(u, k, stacked, ranks)
+        best, u, _ = qdisc._refine(start, u, k, stacked, ranks, 8, None, np.random.default_rng(58))
+        assert best < start
+        assert abs(best - _plus_value(u, k, stacked, ranks)) <= 1e-12
 
     @pytest.mark.parametrize(
         "n, m, system_seed, kwargs",
@@ -423,9 +437,9 @@ class TestPlaneSearch:
             planes.append((self.u.copy(), self.k, i, j, terms))
             return terms
 
-        def logged_rotate(self, i, j, theta):
+        def logged_rotate(self, i, j, theta, squares):
             accepted.append((len(planes) - 1, theta))
-            rotate(self, i, j, theta)
+            rotate(self, i, j, theta, squares)
 
         monkeypatch.setattr(_PlaneSearch, "plane_terms", logged_terms)
         monkeypatch.setattr(_PlaneSearch, "rotate", logged_rotate)

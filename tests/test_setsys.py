@@ -34,6 +34,17 @@ def ap_brute(n):
     return fam
 
 
+def ap_triple_loop(n):
+    """Oracle: every (a, d, l) in [N]^3 in order, each progression cut at N,
+    kept at its first occurrence."""
+    seen = {}
+    for a in range(1, n + 1):
+        for d in range(1, n + 1):
+            for l in range(1, n + 1):
+                seen.setdefault(tuple(x for k in range(l + 1) if (x := a + k * d) <= n), None)
+    return tuple(seen)
+
+
 class TestArithmeticProgressions:
     def test_n1(self):
         assert arithmetic_progressions(1).sets == ((1,),)
@@ -51,6 +62,10 @@ class TestArithmeticProgressions:
     def test_matches_brute_enumeration(self, n):
         got = {frozenset(s) for s in arithmetic_progressions(n).sets}
         assert got == ap_brute(n)
+
+    def test_same_family_and_order_as_the_triple_loop(self):
+        for n in range(1, 33):
+            assert arithmetic_progressions(n).sets == ap_triple_loop(n)
 
     @pytest.mark.parametrize("n", [3, 7, 10])
     def test_contains_all_singletons_and_cubic_size(self, n):

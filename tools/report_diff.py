@@ -30,6 +30,9 @@ COMMANDS = (
     "compare --ap-min 6 --ap-max 12 --random-count 0 --restarts 1 --sweeps 1 --seed 2101",
     "compare --ap-min 20 --ap-max 20 --random-count 0 --restarts 1 --sweeps 1 --seed 2102",
     "qdisc --random-n 24 --random-m 96 --restarts 1 --sweeps 2 --seed 2103",
+    # longer searches on set systems, where exactly tied angles are broken
+    # by the last bits of the scores
+    "compare --ap-min 13 --ap-max 19 --random-count 0 --restarts 1 --sweeps 6 --seed 1",
     # mc-small and dpp-large
     "dpp sample --kind random --n 8 --trials 625 --seed 2104",
     "haar --n-grid 2 3 4 5 6 7 8 --trials 625 --seed 2105",
