@@ -271,6 +271,9 @@ def build_config(subcommand: str, args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    for key, opt in options.items():
+        if _value_type(opt) is float and cfg[key] is not None and not math.isfinite(cfg[key]):
+            raise ValidationError(f"{key} = {cfg[key]} is not a finite number")
     if cfg["seed"] is not None and cfg["seed"] < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {cfg['seed']}")
     for keys, limit in _SIZES:
@@ -393,7 +396,7 @@ def cmd_ubound(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dic
     m_grid = [int(m) for m in cfg["m_grid"]]
     trials = int(cfg["trials"])
     if trials < 1:
-        raise UsageError("need trials >= 1")
+        raise ValidationError("need trials >= 1")
     for m in m_grid:
         check_dense_size(n, m)
     probe_child, *m_children = root.spawn(1 + 2 * len(m_grid))
@@ -505,8 +508,6 @@ def cmd_dpp(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
     kernel_child, draw_child, gate_child = root.spawn(3)
     kernel = _resolve_kernel(cfg, kernel_child)
     trials = int(cfg["trials"])
-    if trials < 1:
-        raise UsageError("need trials >= 1")
     if cfg["action"] == "sample":
         draws = sample_many(kernel, trials, draw_child)
         rows = [
@@ -524,7 +525,7 @@ def cmd_dpp(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
 
     # action == "check": compare empirical statistics against exact laws
     n = kernel.dim
-    exact = np.array(list(exact_distribution(kernel).values()))  # raises GroundSetTooLarge past the cap
+    exact = exact_distribution(kernel)  # raises GroundSetTooLarge past the cap
     members = sample_masks(kernel, trials, draw_child)
     rng = np.random.default_rng(gate_child)
     rows = [
@@ -581,8 +582,6 @@ def cmd_compare(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], di
 
 def cmd_haar(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
     trials = int(cfg["trials"])
-    if trials < 2:
-        raise UsageError("need trials >= 2")
     n_grid = [int(n) for n in cfg["n_grid"]]
     z_gate = float(cfg["z_gate"])
     gates = [g for n, child in zip(n_grid, root.spawn(len(n_grid))) for g in moment_gates(n, trials, child)]

@@ -70,10 +70,10 @@ def comparison_check(
 ) -> ComparisonReport:
     """Compute disc_exact and a qdisc estimate for a set system, then find
     the smallest grid constant c making disc <= (2c log(2M) + 1) qdisc (and
-    the sqrt-log analogue)."""
+    the sqrt-log analogue). Both take the exact witness up to N = cap."""
     disc, _ = disc_exact(system, cap=cap)
     estimate: QdiscEstimate = qdisc_estimate(
-        to_projection_system(system), restarts=restarts, sweeps=sweeps, seed=seed
+        to_projection_system(system), restarts=restarts, sweeps=sweeps, seed=seed, cap=cap
     )
     m = system.num_sets
 
@@ -108,8 +108,8 @@ def lower_bound_constants(alpha: float) -> LowerBoundConstants:
     """epsilon = 1/20 and zeta = 1 / (2 sqrt(10 (1 + alpha))), valid whenever
     log M <= alpha N. Since zeta^2 (1 + alpha) = 1/40, the margin is
     1/5 - 1/40 - 1/10 = 3/40 for every alpha."""
-    if alpha <= 0:
-        raise ValidationError(f"need alpha > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValidationError(f"need finite alpha > 0, got {alpha}")
     epsilon = 1.0 / 20.0
     zeta = 1.0 / (2.0 * math.sqrt(10.0 * (1.0 + alpha)))
     margin = 0.2 - zeta * zeta * (1.0 + alpha) - 2.0 * epsilon

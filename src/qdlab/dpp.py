@@ -235,11 +235,12 @@ def size_pmf(kernel: DPPKernel) -> np.ndarray:
     return pmf
 
 
-def exact_distribution(kernel: DPPKernel, cap: int = EXACT_DISTRIBUTION_CAP) -> dict[tuple[int, ...], float]:
+def exact_distribution(kernel: DPPKernel, cap: int = EXACT_DISTRIBUTION_CAP) -> np.ndarray:
     """Probability of every realization, by Moebius inversion of the joint
     intensities: P[X = T] = sum_{R >= T} (-1)^(|R|-|T|) det K[R, R].
 
-    Subsets are emitted in binary counting order (bit i <-> element i+1).
+    Returns a (2^N,) array indexed by subset mask: entry m is P[X = T] for
+    the T holding element i + 1 exactly when bit i of m is set.
     """
     n = kernel.dim
     if n > cap:
@@ -255,15 +256,10 @@ def exact_distribution(kernel: DPPKernel, cap: int = EXACT_DISTRIBUTION_CAP) -> 
         sel = np.flatnonzero(counts == s)
         idx = np.nonzero(bits[sel])[1].reshape(sel.size, s)
         rho[sel] = np.linalg.det(arr[idx[:, :, None], idx[:, None, :]]).real
-    probs = rho.copy()
     for b in range(n):
         lower = masks[(masks & (1 << b)) == 0]
-        probs[lower] -= probs[lower | (1 << b)]
-    out: dict[tuple[int, ...], float] = {}
-    for m in range(size):
-        pts = tuple(b + 1 for b in range(n) if (m >> b) & 1)
-        out[pts] = float(probs[m])
-    return out
+        rho[lower] -= rho[lower | (1 << b)]
+    return rho
 
 
 def expected_squared_imbalance(kernel: DPPKernel, subset) -> float:

@@ -139,19 +139,22 @@ def trivial_bound_check(coloring: QuantumColoring, projection: OrthogonalProject
     return TrivialBoundRecord(t1 * t1 - t2, pairwise, objective_sq, coloring.dim)
 
 
-def delta_threshold(n: int, r: int, m: int, c: float) -> float:
+def delta_threshold(n: int, r, m: int, c: float):
     """The per-projection threshold
 
-    sqrt(2) [ sqrt((1/c) log(8M) + N^2/(N^2-1) r - N/(N^2-1) r^2) + r/N ].
+    sqrt(2) [ sqrt((1/c) log(8M) + N^2/(N^2-1) r - N/(N^2-1) r^2) + r/N ],
+
+    elementwise over an array of ranks r.
     """
     if n < 2:
         raise DegenerateDim(f"the threshold needs N >= 2, got {n}")
-    if m < 1 or c <= 0:
-        raise ValidationError("need M >= 1 and c > 0")
-    if not 0 <= r <= n:
+    if not (m >= 1 and 0 < c < math.inf):
+        raise ValidationError(f"need M >= 1 and finite c > 0, got M = {m}, c = {c}")
+    r = np.asarray(r)
+    if ((r < 0) | (r > n)).any():
         raise ValidationError(f"rank {r} outside [0, {n}]")
     inner = math.log(8 * m) / c + (n * n * r - n * r * r) / (n * n - 1)
-    return math.sqrt(2.0) * (math.sqrt(inner) + r / n)
+    return math.sqrt(2.0) * (np.sqrt(inner) + r / n)
 
 
 def delta_p(projection: OrthogonalProjection, m: int, c: float) -> float:
@@ -174,8 +177,7 @@ class DeltaEventRecord:
 
 def delta_thresholds(system: ProjectionSystem, c: float) -> np.ndarray:
     """Delta_{P_j} at constant c for every projection of the system."""
-    m = system.num_projections
-    return np.array([delta_threshold(system.dim, int(r), m, c) for r in system.ranks()])
+    return delta_threshold(system.dim, system.ranks(), system.num_projections, c)
 
 
 def check_delta_event(system: ProjectionSystem, coloring: QuantumColoring, c: float) -> DeltaEventRecord:
@@ -392,10 +394,11 @@ def _diagonal_sets(stacked: np.ndarray) -> list[tuple[int, ...]] | None:
     return [tuple(int(i + 1) for i in np.flatnonzero(row.real > 0.5)) for row in diag]
 
 
-def _combinatorial_candidate(stacked: np.ndarray, seed) -> np.ndarray | None:
+def _combinatorial_candidate(stacked: np.ndarray, seed, cap: int) -> np.ndarray | None:
     """For diagonally embedded set systems, the best deterministic +-1
     coloring is itself a quantum coloring; seed the search with it so the
-    estimate never exceeds the combinatorial discrepancy."""
+    estimate never exceeds the combinatorial discrepancy. The coloring is
+    exact up to N = cap and from the restart heuristic above."""
     sets = _diagonal_sets(stacked)
     if sets is None:
         return None
@@ -404,8 +407,8 @@ def _combinatorial_candidate(stacked: np.ndarray, seed) -> np.ndarray | None:
     if not nonempty:
         return np.ones(n)
     sub = SetSystem(n, tuple(nonempty))
-    if n <= DEFAULT_EXHAUSTIVE_CAP:
-        _, witness = disc_exact(sub)
+    if n <= cap:
+        _, witness = disc_exact(sub, cap=cap)
     else:
         _, witness = disc_heuristic(sub, trials=32, seed=seed)
     return witness.signs.astype(float)
@@ -423,6 +426,7 @@ def qdisc_estimate(
     seed=0,
     plane_cap: int | None = None,
     refine_top: int | None = None,
+    cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> QdiscEstimate:
     """Upper estimate of the quantum discrepancy of a projection system.
 
@@ -430,8 +434,10 @@ def qdisc_estimate(
     restart starts from the sorted diagonal coloring and later restarts from
     Haar random conjugations; candidates are refined by plane-rotation
     sweeps. When refine_top is given, only the most promising candidates
-    get sweeps (a beam restriction for large systems). Deterministic for a
-    fixed seed, and non-increasing in the number of restarts.
+    get sweeps (a beam restriction for large systems). A diagonally
+    embedded set system also seeds one candidate with its combinatorial
+    witness, found exactly when N <= cap. Deterministic for a fixed seed,
+    and non-increasing in the number of restarts.
     """
     if restarts < 1:
         raise ValidationError("need restarts >= 1")
@@ -451,7 +457,7 @@ def qdisc_estimate(
             u = np.eye(n, dtype=np.complex128) if ridx == 0 else randmat.haar_unitary(n, rng)
             candidates.append((_plus_value(u, k, stacked, ranks), u, k, rng))
 
-    witness_signs = _combinatorial_candidate(stacked, k_children[n + 1])
+    witness_signs = _combinatorial_candidate(stacked, k_children[n + 1], cap)
     if witness_signs is not None:
         u, k = _permutation_unitary_for_signs(witness_signs)
         rng = np.random.default_rng(k_children[n + 1].spawn(1)[0])

@@ -259,11 +259,6 @@ def _corner_sums(a: np.ndarray) -> np.ndarray:
     return out
 
 
-# numpy's array power rounds differently from the C library's pow, which its
-# scalar power calls; the entry moments keep the scalar rounding.
-_pow = np.frompyfunc(math.pow, 2, 1)
-
-
 def moment_gates(n: int, trials: int, seed, all_ranks: bool = False) -> list[MomentGate]:
     """Monte Carlo estimates of every exact-moment formula at dimension n.
 
@@ -302,14 +297,8 @@ def moment_gates(n: int, trials: int, seed, all_ranks: bool = False) -> list[Mom
         t1[rows] = diag_cum[:, ranks]
         t2[rows] = _corner_sums(chi)[:, corners, corners]
         a00, a01, a11 = np.abs(u[:, 0, 0]), np.abs(u[:, 0, 1]), np.abs(u[:, 1, 1])
-        m4[rows, :3] = _pow(np.stack([a00, a00 * a01, a00 * a11], axis=1), [4.0, 2.0, 2.0])
-        # U_00 U_11 conj(U_10) conj(U_01) factor by factor on real and imaginary
-        # parts, rounded as numpy's scalar complex product; its array product
-        # can differ in the last bit.
-        re, im = u[:, 0, 0].real, u[:, 0, 0].imag
-        for z in (u[:, 1, 1], u[:, 1, 0].conj(), u[:, 0, 1].conj()):
-            re, im = re * z.real - im * z.imag, re * z.imag + im * z.real
-        m4[rows, 3] = re
+        m4[rows, :3] = np.stack([a00, a00 * a01, a00 * a11], axis=1) ** [4.0, 2.0, 2.0]
+        m4[rows, 3] = (u[:, 0, 0] * u[:, 1, 1] * u[:, 1, 0].conj() * u[:, 0, 1].conj()).real
 
     gates: list[MomentGate] = []
     for col, r in enumerate(ranks):

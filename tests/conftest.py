@@ -22,10 +22,10 @@ def brute_force_imbalance(kernel, subset):
     distribution computed by inclusion-exclusion."""
     from qdlab import exact_distribution
 
-    s = set(subset)
+    s = sum(1 << (i - 1) for i in set(subset))
     return sum(
-        p * (2 * len(set(t) & s) - len(s)) ** 2
-        for t, p in exact_distribution(kernel).items()
+        p * (2 * (m & s).bit_count() - s.bit_count()) ** 2
+        for m, p in enumerate(exact_distribution(kernel))
     )
 
 

@@ -83,8 +83,7 @@ def test_criterion_1_sampler_exactness(bulk_samples):
     ok = True
     for run in runs:
         n, kernel = run["n"], run["kernel"]
-        dist = exact_distribution(kernel)
-        exact = np.array(list(dist.values()))
+        exact = exact_distribution(kernel)
         emp = np.bincount(run["masks"], minlength=1 << n) / BULK_TRIALS
         tv = 0.5 * float(np.abs(emp - exact).sum())
         # expected empirical TV at this sample size, for context

@@ -71,7 +71,7 @@ class TestConfigHandling:
         assert main(["haar", "--n-grid", "2", "--trials", "100", "--seed", "1", "--threads", "1"]) == EXIT_USAGE
 
     def test_trials_zero_rejected(self):
-        assert main(["haar", "--trials", "0", "--seed", "1"]) == EXIT_USAGE
+        assert main(["haar", "--trials", "0", "--seed", "1"]) == EXIT_VALIDATION
 
     @pytest.mark.parametrize(
         "argv, text",
@@ -564,8 +564,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "argv, code",
         [
-            (["ubound", "--n", "4", "--m-grid", "4", "--c", "1", "--trials", "0"], EXIT_USAGE),
-            (["ubound", "--n", "4", "--m-grid", "4", "--c", "1", "--trials", "-3"], EXIT_USAGE),
+            (["ubound", "--n", "4", "--m-grid", "4", "--c", "1", "--trials", "0"], EXIT_VALIDATION),
+            (["ubound", "--n", "4", "--m-grid", "4", "--c", "1", "--trials", "-3"], EXIT_VALIDATION),
             (["compare", "--random-count", "-1"], EXIT_VALIDATION),
             (["compare", "--ap-min", "6", "--ap-max", "6", "--random-count", "0", "--sweeps", "-1"], EXIT_VALIDATION),
             (["qdisc", "--random-n", "4", "--random-m", "3", "--plane-cap", "-2"], EXIT_VALIDATION),
@@ -576,13 +576,47 @@ class TestMalformedInput:
             (["disc", "--ap", "0"], EXIT_VALIDATION),
             (["qdisc", "--random-n", "4", "--random-m", "3", "--plane-cap", "0"], EXIT_VALIDATION),
             (["qdisc", "--random-n", "4", "--random-m", "3", "--refine-top", "0"], EXIT_VALIDATION),
+            (["dpp", "sample", "--trials", "0"], EXIT_VALIDATION),
+            (["dpp", "check", "--n", "4", "--trials", "-2"], EXIT_VALIDATION),
+            (["haar", "--n-grid", "2", "--trials", "1"], EXIT_VALIDATION),
+            (["haar", "--n-grid", "2", "3", "--trials", "0"], EXIT_VALIDATION),
         ],
     )
     def test_out_of_range_count(self, tmp_path, capsys, argv, code):
         assert run(tmp_path, "r.csv", *argv, "--seed", "1") == (code, "")
         err = capsys.readouterr().err
-        assert err.startswith("usage error: need" if code == EXIT_USAGE else "validation failure: need")
+        assert err.startswith("validation failure: need")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ubound", "--n", "4", "--m-grid", "4", "--trials", "5", "--c", "nan"],
+            ["ubound", "--n", "4", "--m-grid", "4", "--trials", "5", "--c", "inf"],
+            ["lbound", "--n-grid", "4", "--alpha", "nan"],
+            ["lbound", "--n-grid", "4", "--alpha", "inf"],
+            ["haar", "--n-grid", "2", "--trials", "100", "--z-gate", "nan"],
+            ["dpp", "check", "--n", "3", "--trials", "100", "--z-gate=-inf"],
+        ],
+    )
+    def test_non_finite_float_refused(self, tmp_path, capsys, argv):
+        assert run(tmp_path, "r.csv", *argv, "--seed", "1") == (EXIT_VALIDATION, "")
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: ") and "is not a finite number" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["ubound", "--n", "4", "--m-grid", "4", "--trials", "5"], {"c": float("nan")}),
+            (["lbound", "--n-grid", "4"], {"alpha": float("inf")}),
+        ],
+    )
+    def test_non_finite_float_in_config_refused(self, tmp_path, capsys, argv, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))  # json writes NaN and Infinity, which json.loads reads back
+        assert run(tmp_path, "r.csv", *argv, "--config", str(cfg), "--seed", "1") == (EXIT_VALIDATION, "")
+        assert "is not a finite number" in capsys.readouterr().err
 
     def test_huge_kernel_refused_without_warning(self, tmp_path, capsys):
         path = tmp_path / "kernel.json"

@@ -87,6 +87,11 @@ class TestComparisonCheck:
         assert rep.sandwich_ok
         assert rep.min_feasible_c_log <= rep.min_feasible_c_sqrt_log
 
+    def test_sandwich_above_the_default_cap(self):
+        # the qdisc search is seeded with the exact witness up to the cap
+        # that disc_exact runs at, not only up to the default cap of 24
+        assert comparison_check(arithmetic_progressions(25), restarts=1, sweeps=0, cap=25).sandwich_ok
+
 
 class TestLowerBoundConstants:
     def test_alpha_one(self):
@@ -117,3 +122,8 @@ class TestLowerBoundConstants:
     def test_bad_alpha(self):
         with pytest.raises(ValidationError):
             lower_bound_constants(0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(ValidationError):
+            lower_bound_constants(alpha)

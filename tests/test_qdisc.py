@@ -562,6 +562,30 @@ class TestDeltaThreshold:
         with pytest.raises(DegenerateDim):
             delta_threshold(1, 0, 1, 1.0)
 
+    @pytest.mark.parametrize(("r", "m", "c"), [
+        (2, 0, 1.0), (2, 4, 0.0), (2, 4, -1.0), (2, 4, math.nan), (2, 4, math.inf), (5, 4, 1.0), ([1, -1], 4, 1.0),
+    ])
+    def test_out_of_domain(self, r, m, c):
+        with pytest.raises(ValidationError):
+            delta_threshold(4, r, m, c)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 32])
+    def test_system_thresholds_equal_the_scalar_formula(self, n):
+        """delta_thresholds of a system is, bit for bit, the threshold taken
+        one projection at a time in Python int and math arithmetic."""
+
+        def scalar(r, m, c):
+            inner = math.log(8 * m) / c + (n * n * r - n * r * r) / (n * n - 1)
+            return math.sqrt(2.0) * (math.sqrt(inner) + r / n)
+
+        for m in (1, 5, 1024):
+            for system in (random_projection_system(n, min(m, 8), (31, n, m)),
+                           to_projection_system(random_set_system(n, m, (32, n, m)))):
+                ranks = [int(r) for r in system.ranks()]
+                for c in (0.01, 0.37, 1.0, 55.0):
+                    want = [scalar(r, system.num_projections, c) for r in ranks]
+                    assert qdisc.delta_thresholds(system, c).tolist() == want
+
     def test_delta_p_wraps_projection(self):
         p = random_projection(6, 2)
         assert delta_p(p, 4, 2.0) == delta_threshold(6, 3, 4, 2.0)

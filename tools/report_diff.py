@@ -33,6 +33,8 @@ COMMANDS = (
     # longer searches on set systems, where exactly tied angles are broken
     # by the last bits of the scores
     "compare --ap-min 13 --ap-max 19 --random-count 0 --restarts 1 --sweeps 6 --seed 1",
+    # set systems above the default exhaustive cap of 24
+    "compare --ap-min 25 --ap-max 26 --random-count 0 --restarts 1 --sweeps 0 --cap 26 --seed 1",
     # mc-small and dpp-large
     "dpp sample --kind random --n 8 --trials 625 --seed 2104",
     "haar --n-grid 2 3 4 5 6 7 8 --trials 625 --seed 2105",
@@ -46,12 +48,15 @@ COMMANDS = (
     "lbound --n-grid 8 16 --seed 1",
     "disc --ap 12",
     "disc --ap 12 --heuristic --seed 1",
-    # out-of-range counts: a usage error (exit 1) and validation failures (exit 2)
+    # refused inputs, all validation failures (exit 2): out-of-range counts
+    # and non-finite numbers
     "ubound --n 4 --m-grid 4 --trials 0 --c 1 --seed 1",
     "qdisc --random-n 4 --random-m 3 --plane-cap -2 --seed 1",
     "qdisc --random-n 4 --random-m 3 --plane-cap 0 --seed 1",
     "qdisc --random-n 4 --random-m 3 --refine-top 0 --seed 1",
     "disc --ap 0",
+    "ubound --n 4 --m-grid 4 --trials 5 --c nan --seed 1",
+    "lbound --n-grid 4 --alpha inf --seed 1",
 )
 FORMATS = ("csv", "json")
 # Diff lines printed per differing report, and characters per line (a
