@@ -29,6 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .matcore import (
+    BATCH_ENTRIES,
     OrthogonalProjection,
     QuantumColoring,
     commutator,
@@ -205,7 +206,11 @@ def delta_event_count(system: ProjectionSystem, colorings, c: float) -> int:
 
 
 def _objective_values(chi: np.ndarray, stacked: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    t1, t2 = trace_pair(stacked @ chi)
+    """objective(chi, P_m) for every m. P_m chi is formed in slices of about
+    4 * BATCH_ENTRIES entries; each matrix's values match the whole product's."""
+    step = max(1, 4 * BATCH_ENTRIES // chi.size)
+    pairs = [trace_pair(stacked[lo : lo + step] @ chi) for lo in range(0, len(stacked), step)]
+    t1, t2 = np.concatenate(pairs, axis=-1)
     return np.sqrt(np.clip(t1 * t1 + ranks - t2, 0.0, None))
 
 
@@ -276,8 +281,12 @@ def _rotated(u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     return _dense_rotated(u, stacked) if rows is None else stacked[:, rows[:, None], rows]
 
 
-def _plus_value(u: np.ndarray, k: int, stacked: np.ndarray, ranks: np.ndarray) -> float:
-    return float(_root_max(imbalance_terms(_rotated(u[:, :k], stacked), ranks)[1]))
+def _plus_value(u: np.ndarray | None, k: int, stacked: np.ndarray, ranks: np.ndarray) -> float:
+    """The max objective at U D_k U*; None stands for the identity, whose
+    plus block is gathered in the layout `_rotated` gathers it in."""
+    rows = np.arange(k)
+    plus = stacked[:, rows[:, None], rows] if u is None else _rotated(u[:, :k], stacked)
+    return float(_root_max(imbalance_terms(plus, ranks)[1]))
 
 
 def _angle_basis(theta: np.ndarray) -> np.ndarray:
@@ -416,7 +425,7 @@ def _combinatorial_candidate(stacked: np.ndarray, seed, cap: int) -> np.ndarray 
 
 def _permutation_unitary_for_signs(signs: np.ndarray) -> tuple[np.ndarray, int]:
     order = np.argsort(signs < 0, kind="stable")  # the + indices, then the - ones
-    return np.eye(signs.size, dtype=np.complex128)[:, order], int(np.count_nonzero(signs > 0))
+    return np.eye(signs.size)[:, order], int(np.count_nonzero(signs > 0))
 
 
 def qdisc_estimate(
@@ -438,6 +447,11 @@ def qdisc_estimate(
     embedded set system also seeds one candidate with its combinatorial
     witness, found exactly when N <= cap. Deterministic for a fixed seed,
     and non-increasing in the number of restarts.
+
+    A real stack searched from a real start (the identity or the witness
+    permutation) keeps W and U real, so that search runs in float64; Haar
+    starts and complex stacks run in complex128. Identity starts are built
+    only when refined or chosen; Haar starts are all held until refined.
     """
     if restarts < 1:
         raise ValidationError("need restarts >= 1")
@@ -446,22 +460,23 @@ def qdisc_estimate(
             raise ValidationError(f"need {name} >= {least}, got {count}")
     n = system.dim
     stacked = system.stacked()
+    narrow = stacked if stacked.imag.any() else stacked.real  # a view: real starts gather W afresh
     ranks = system.ranks().astype(float)
     k_children = seed_sequence(seed).spawn(n + 2)
 
-    candidates: list[tuple[float, np.ndarray, int, np.random.Generator]] = []
+    candidates: list[tuple[float, np.ndarray | None, int, np.random.Generator]] = []
     for k in range(n + 1):
         restart_children = k_children[k].spawn(restarts)
         for ridx in range(restarts):
             rng = np.random.default_rng(restart_children[ridx])
-            u = np.eye(n, dtype=np.complex128) if ridx == 0 else randmat.haar_unitary(n, rng)
-            candidates.append((_plus_value(u, k, stacked, ranks), u, k, rng))
+            u = None if ridx == 0 else randmat.haar_unitary(n, rng)
+            candidates.append((_plus_value(u, k, narrow if u is None else stacked, ranks), u, k, rng))
 
     witness_signs = _combinatorial_candidate(stacked, k_children[n + 1], cap)
     if witness_signs is not None:
         u, k = _permutation_unitary_for_signs(witness_signs)
         rng = np.random.default_rng(k_children[n + 1].spawn(1)[0])
-        candidates.append((_plus_value(u, k, stacked, ranks), u, k, rng))
+        candidates.append((_plus_value(u, k, narrow, ranks), u, k, rng))
 
     order = sorted(range(len(candidates)), key=lambda t: (candidates[t][0], t))
     refine_set = frozenset(order if refine_top is None else order[:refine_top])
@@ -470,12 +485,16 @@ def qdisc_estimate(
         value, u, k, rng = candidates[t]
         converged = True
         if t in refine_set and sweeps > 0 and 0 < k < n:  # k = 0 or N has no plane
-            value, u, converged = _refine(value, u, k, stacked, ranks, sweeps, plane_cap, rng)
+            u = np.eye(n, dtype=narrow.dtype) if u is None else u
+            search = stacked if np.iscomplexobj(u) else narrow
+            value, u, converged = _refine(value, u, k, search, ranks, sweeps, plane_cap, rng)
         if value < best_value - _IMPROVE_TOL:
             best_value, best_u, best_k, best_converged = value, u, k, converged
 
     signs = np.where(np.arange(n) < best_k, 1.0, -1.0)
-    witness = QuantumColoring(make_hermitian(conjugate_diagonal(best_u, signs)), plus_count=best_k)
+    best_u = np.eye(n) if best_u is None else best_u  # an identity start, not refined
+    chi = conjugate_diagonal(best_u.astype(np.complex128), signs)
+    witness = QuantumColoring(make_hermitian(chi), plus_count=best_k)
     final_values = _objective_values(witness.array, stacked, ranks)
     return QdiscEstimate(
         value=float(final_values.max()),

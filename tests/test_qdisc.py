@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qdlab import qdisc
+from qdlab import cli, qdisc
 from qdlab import (
     Coloring,
     arithmetic_progressions,
@@ -539,6 +540,87 @@ class TestRotatedStack:
         monkeypatch.setattr(qdisc, "_dense_rotated", dense_rotated_forbidden)
         est = qdisc_estimate(to_projection_system(arithmetic_progressions(20)), restarts=1, sweeps=1, seed=89)
         assert est.value <= disc_exact(arithmetic_progressions(20))[0]
+
+
+FLOAT_CONFIGS = [dict(restarts=1, sweeps=1), dict(restarts=2, sweeps=2), dict(restarts=1, sweeps=6)]
+SET_SYSTEMS = [(f"ap{n}", arithmetic_progressions(n)) for n in range(3, 21)] + [
+    (f"random{i}", random_set_system(10, 20, (90, i))) for i in range(10)
+]
+
+
+def searched_dtypes(monkeypatch, run):
+    """(N, U dtype, W dtype) of every _PlaneSearch that run() builds."""
+    seen = []
+    init = _PlaneSearch.__init__
+
+    def spy(self, u, k, stacked, ranks):
+        init(self, u, k, stacked, ranks)
+        seen.append((u.shape[0], u.dtype, self.w.dtype))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_PlaneSearch, "__init__", spy)
+        run()
+    return seen
+
+
+class TestFloatSearch:
+    """A real stack searched from a real start runs in float64."""
+
+    @pytest.mark.parametrize("config", FLOAT_CONFIGS, ids=["r1s1", "r2s2", "r1s6"])
+    def test_same_estimate_as_the_complex_search(self, monkeypatch, config):
+        refine = qdisc._refine
+
+        def complex_refine(value, u, k, stacked, *rest):
+            return refine(value, u.astype(np.complex128), k, stacked.astype(np.complex128), *rest)
+
+        differ = []
+        for i, (name, system) in enumerate(SET_SYSTEMS):
+            psys, kwargs = to_projection_system(system), dict(config, seed=(91, i))
+            est = qdisc_estimate(psys, **kwargs)
+            with monkeypatch.context() as patch:
+                patch.setattr(qdisc, "_refine", complex_refine)
+                wide = qdisc_estimate(psys, **kwargs)
+            if (est.value, est.plus_count, est.converged) != (wide.value, wide.plus_count, wide.converged) or (
+                not np.array_equal(est.witness.array, wide.witness.array)
+            ):
+                differ.append(f"{name}: float64 {est.value!r} k={est.plus_count} converged={est.converged}, "
+                              f"complex128 {wide.value!r} k={wide.plus_count} converged={wide.converged}")
+        assert not differ, "\n".join(differ)
+
+    def test_complex_systems_never_search_in_float(self, monkeypatch):
+        system = random_projection_system(8, 12, 92)
+        seen = searched_dtypes(monkeypatch, lambda: qdisc_estimate(system, restarts=2, sweeps=1, seed=93))
+        assert seen and all(w == np.complex128 for _, _, w in seen)
+
+    def test_haar_restarts_stay_complex_on_set_systems(self, monkeypatch):
+        n = 9
+        system = to_projection_system(arithmetic_progressions(n))
+        seen = searched_dtypes(monkeypatch, lambda: qdisc_estimate(system, restarts=2, sweeps=1, seed=94))
+        dtypes = [(u, w) for _, u, w in seen]
+        assert dtypes.count((np.complex128, np.complex128)) == n - 1  # one Haar start per k in 1..N-1
+        assert dtypes.count((np.float64, np.float64)) == len(dtypes) - (n - 1) >= n - 1
+
+    def test_every_compare_ap_system_searches_in_float(self, monkeypatch, tmp_path):
+        def compare_ap():
+            for lo, hi in (("6", "12"), ("20", "20")):
+                argv = ["compare", "--ap-min", lo, "--ap-max", hi, "--random-count", "0", "--restarts", "1",
+                        "--sweeps", "1", "--seed", "95", "--out", str(tmp_path / "r.csv")]
+                assert cli.main(argv) == 0
+
+        seen = searched_dtypes(monkeypatch, compare_ap)
+        assert {n for n, _, _ in seen} == {*range(6, 13), 20}
+        assert all(u == w == np.float64 for _, u, w in seen)
+
+    def test_identity_starts_are_built_when_refined(self):
+        # one dense N x N complex start per k would hold (N + 1) N^2 16 B = 33.8 MB
+        system = random_projection_system(128, 1, 5)
+        tracemalloc.start()
+        try:
+            qdisc_estimate(system, restarts=1, sweeps=0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestDeltaThreshold:

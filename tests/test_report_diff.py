@@ -28,6 +28,11 @@ def test_same_checkout_has_no_difference(report_diff, tmp_path, capsys):
     assert capsys.readouterr().out == "0 of 4 reports differ\n"
 
 
+def test_blas_thread_counts_have_no_difference(report_diff, capsys):
+    assert report_diff.main(["--blas-threads", "1", "2"]) == 0
+    assert capsys.readouterr().out == "0 of 4 reports differ\n"
+
+
 def test_changed_report_and_exit_code_are_printed(report_diff, tmp_path, capsys):
     other = _copy_checkout(tmp_path)
     cli = other / "src" / "qdlab" / "cli.py"
@@ -47,4 +52,14 @@ def test_changed_report_and_exit_code_are_printed(report_diff, tmp_path, capsys)
 def test_refuses_a_directory_without_the_package(report_diff, tmp_path):
     with pytest.raises(SystemExit) as exc:
         report_diff.main([str(tmp_path)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [[], [str(ROOT), "--blas-threads", "1", "2"], ["--blas-threads", "0", "2"]],
+    ids=["neither-mode", "both-modes", "zero-threads"],
+)
+def test_refuses_other_than_one_mode_or_a_thread_count_below_one(report_diff, argv):
+    with pytest.raises(SystemExit) as exc:
+        report_diff.main(argv)
     assert exc.value.code == 2

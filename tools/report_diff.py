@@ -1,14 +1,18 @@
 """Compare the reports of a fixed list of qdlab commands between this
-checkout and another one.
+checkout and another one, or between two BLAS thread counts.
 
     python tools/report_diff.py OTHER_CHECKOUT
+    python tools/report_diff.py --blas-threads A B
 
 Each command runs in a fresh `python -m qdlab.cli` process with
 `PYTHONPATH=<checkout>/src`, once with `--format csv` and once with
-`--format json`. Every command whose exit code or report differs is printed
-with the start of a diff of its two reports (this checkout's lines marked
-`+`). An exit that printed a Python traceback counts as its own exit code.
-Exits 1 if any report or exit code differs, 0 if none does.
+`--format json`. With --blas-threads, both runs use this checkout, with
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to A for one
+and to B for the other, in the environment of those child processes only.
+Every command whose exit code or report differs is printed with the start
+of a diff of its two reports (this checkout's lines, or those at B threads,
+marked `+`). An exit that printed a Python traceback counts as its own exit
+code. Exits 1 if any report or exit code differs, 0 if none does.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import os
 import shlex
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -59,35 +64,53 @@ COMMANDS = (
     "lbound --n-grid 4 --alpha inf --seed 1",
 )
 FORMATS = ("csv", "json")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Diff lines printed per differing report, and characters per line (a
 # dpp-large summary line holds the whole 128 x 128 kernel).
 MAX_LINES = 20
 MAX_WIDTH = 160
 
 
-def run(checkout: Path, argv: list[str]) -> tuple[str, str]:
-    """Exit code and stdout of one qdlab command run from `checkout`'s src."""
+def run(checkout: Path, argv: list[str], threads: int | None = None) -> tuple[str, str]:
+    """Exit code and stdout of one qdlab command run from `checkout`'s src,
+    at `threads` BLAS threads if given."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    if threads is not None:
+        env.update(dict.fromkeys(BLAS_VARS, str(threads)))
     proc = subprocess.run([sys.executable, "-m", "qdlab.cli", *argv], env=env, capture_output=True, text=True)
     traceback = " (traceback)" if "Traceback" in proc.stderr else ""
     return f"{proc.returncode}{traceback}", proc.stdout
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Compare qdlab reports between two checkouts.")
-    parser.add_argument("other", type=Path, help="the other checkout: a directory holding src/qdlab")
-    other = parser.parse_args(argv).other.resolve()
-    if not (other / "src" / "qdlab").is_dir():
-        parser.error(f"{other} holds no src/qdlab")
+    parser = argparse.ArgumentParser(description="Compare qdlab reports between two checkouts or thread counts.")
+    parser.add_argument("other", type=Path, nargs="?", help="the other checkout: a directory holding src/qdlab")
+    parser.add_argument("--blas-threads", type=int, nargs=2, metavar=("A", "B"),
+                        help="instead, run this checkout at A and at B BLAS threads")
+    opts = parser.parse_args(argv)
+    if (opts.other is None) == (opts.blas_threads is None):
+        parser.error("give either OTHER_CHECKOUT or --blas-threads A B")
+    if opts.blas_threads:
+        a, b = opts.blas_threads
+        if min(a, b) < 1:
+            parser.error(f"need thread counts >= 1, got {a} and {b}")
+        new, base = partial(run, HERE, threads=b), partial(run, HERE, threads=a)
+        new_label, base_label = f"at threads={b}", f"at threads={a}"
+    else:
+        other = opts.other.resolve()
+        if not (other / "src" / "qdlab").is_dir():
+            parser.error(f"{other} holds no src/qdlab")
+        new, base = partial(run, HERE), partial(run, other)
+        new_label, base_label = "here", f"in {other}"
     differ = 0
     for command in COMMANDS:
         for fmt in FORMATS:
             args = [*shlex.split(command), "--format", fmt]
-            (code, text), (other_code, other_text) = run(HERE, args), run(other, args)
+            (code, text), (other_code, other_text) = new(args), base(args)
             if (code, text) == (other_code, other_text):
                 continue
             differ += 1
-            print(f"=== qdlab {command} --format {fmt}: exit {code} here, {other_code} in {other}")
+            print(f"=== qdlab {command} --format {fmt}: exit {code} {new_label}, {other_code} {base_label}")
             diff = difflib.unified_diff(other_text.splitlines(), text.splitlines(), lineterm="", n=0)
             for line in list(diff)[2 : 2 + MAX_LINES]:
                 print(line if len(line) <= MAX_WIDTH else line[:MAX_WIDTH] + "...")
