@@ -86,6 +86,7 @@ def disc_exact(system: SetSystem, cap: int = DEFAULT_EXHAUSTIVE_CAP) -> tuple[in
         walk(d + 1, 2 * prefix + 1)
 
     walk(0, 0)
+    del walk  # the recursive closure is a reference cycle; it would hold the tables until a gc pass
     bits = (best_k >> np.arange(n - 2, -1, -1, dtype=np.int64)) & 1
     witness = Coloring(np.concatenate(([1], 2 * bits - 1)).astype(int))
     return best_val, witness

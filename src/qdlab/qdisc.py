@@ -9,7 +9,9 @@ chi^2 = I. Minimization over colorings is heuristic: colorings are
 parametrized as U D_k U* for every admissible number k of +1 eigenvalues,
 with Haar restarts refined by plane-rotation sweeps that preserve
 chi^2 = I exactly by construction. The reported value is an upper
-estimate; no lower-bound certificate is produced.
+estimate. Each k also has a certified floor from the trace term alone
+(`_slice_floors`); the search skips the k whose floor is above its best
+value, and reports no lower bound.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .setsys import ProjectionSystem, SetSystem, to_projection_system
 
 _CONSISTENCY_TOL = 1e-9
 _IMPROVE_TOL = 1e-12
+_FLOOR_TOL = 1e-9
 ANGLE_GRID = 64
 
 
@@ -395,12 +398,36 @@ def _refine(
     return best, state.u, converged
 
 
+def _slice_floors(stacked: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """For k = 0..N, a lower bound on max_m objective^2 over every coloring
+    with k plus eigenvalues, as objective^2 >= (tr chi P)^2. With
+    Pi = (chi + I)/2 of rank k, tr chi P = 2 tr Pi P - r, and each floor is
+    the larger of two squared distances from 0 to an interval of it:
+    (a) per projection, tr Pi P_m lies in [max(0, k + r_m - N), min(k, r_m)];
+    (b) on the average, max_m (tr chi P_m)^2 >= (tr chi S / M)^2 for
+    S = sum_m P_m, and tr Pi S lies between the sums of the k smallest and the
+    k largest eigenvalues of S (Ky Fan). (a) is exact; (b) carries the
+    rounding of one eigvalsh."""
+    def gap(lo, hi):  # the squared distance from 0 to [lo, hi]
+        return np.maximum(np.maximum(lo, -hi), 0.0) ** 2
+
+    n, m = stacked.shape[-1], len(stacked)
+    k = np.arange(n + 1)
+    low = np.concatenate(([0.0], np.cumsum(np.linalg.eigvalsh(stacked.sum(axis=0)))))  # sums of the k smallest
+    each = gap(2.0 * np.maximum(0, k[:, None] + ranks - n) - ranks, 2.0 * np.minimum(k[:, None], ranks) - ranks)
+    mean = gap((2.0 * low[k] - low[n]) / m, (low[n] - 2.0 * low[n - k]) / m)
+    return np.maximum(each.max(axis=1), mean)
+
+
 def _diagonal_sets(stacked: np.ndarray) -> list[tuple[int, ...]] | None:
     """If every projection is diagonal, recover the underlying subsets."""
     diag = np.diagonal(stacked, axis1=1, axis2=2)
     if np.count_nonzero(stacked) > np.count_nonzero(diag):
         return None
-    return [tuple(int(i + 1) for i in np.flatnonzero(row.real > 0.5)) for row in diag]
+    rows, cols = np.nonzero(diag.real > 0.5)
+    ends = np.cumsum(np.bincount(rows, minlength=len(diag))).tolist()
+    members = (cols + 1).tolist()
+    return [tuple(members[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
 def _combinatorial_candidate(stacked: np.ndarray, seed, cap: int) -> np.ndarray | None:
@@ -448,6 +475,11 @@ def qdisc_estimate(
     witness, found exactly when N <= cap. Deterministic for a fixed seed,
     and non-increasing in the number of restarts.
 
+    Candidates are taken in order of start value, and one whose k has a
+    floor (`_slice_floors`) above the best value so far is skipped: no
+    coloring with k plus eigenvalues could replace the best, so the result
+    is the one every candidate's search would give.
+
     A real stack searched from a real start (the identity or the witness
     permutation) keeps W and U real, so that search runs in float64; Haar
     starts and complex stacks run in complex128. Identity starts are built
@@ -480,9 +512,14 @@ def qdisc_estimate(
 
     order = sorted(range(len(candidates)), key=lambda t: (candidates[t][0], t))
     refine_set = frozenset(order if refine_top is None else order[:refine_top])
+    floors = _slice_floors(narrow, ranks)
     best_value, best_u, best_k, best_converged = math.inf, None, 0, False
     for t in order:
         value, u, k, rng = candidates[t]
+        # every coloring with k plus eigenvalues scores at least sqrt(floors[k]);
+        # past the best by more than the rounding, the candidate cannot replace it
+        if floors[k] > (best_value + _IMPROVE_TOL) ** 2 * (1.0 + _FLOOR_TOL):
+            continue
         converged = True
         if t in refine_set and sweeps > 0 and 0 < k < n:  # k = 0 or N has no plane
             u = np.eye(n, dtype=narrow.dtype) if u is None else u

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import tracemalloc
@@ -212,6 +213,16 @@ class TestDiscExactBlocks:
         assert value == 4
         assert "".join("+" if s > 0 else "-" for s in witness.signs) == "+----+-+-++--++-+-+--+-+-++-"
         assert peak < 16 * 2**20
+
+    def test_tables_are_freed_on_return(self):
+        # a reference cycle would keep the low-block tables alive until the next gc pass
+        gc.collect()
+        gc.disable()
+        try:
+            disc_exact(arithmetic_progressions(12))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_ap32_disc_four(self):
         # the witness attains 4, and AP(28)'s sets (disc 4) are sets of AP(32)

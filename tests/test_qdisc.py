@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdlab import cli, qdisc
+from qdlab import cli, qdisc, randmat
 from qdlab import (
     Coloring,
     arithmetic_progressions,
@@ -549,13 +549,13 @@ SET_SYSTEMS = [(f"ap{n}", arithmetic_progressions(n)) for n in range(3, 21)] + [
 
 
 def searched_dtypes(monkeypatch, run):
-    """(N, U dtype, W dtype) of every _PlaneSearch that run() builds."""
+    """(N, k, U dtype, W dtype) of every _PlaneSearch that run() builds."""
     seen = []
     init = _PlaneSearch.__init__
 
     def spy(self, u, k, stacked, ranks):
         init(self, u, k, stacked, ranks)
-        seen.append((u.shape[0], u.dtype, self.w.dtype))
+        seen.append((u.shape[0], k, u.dtype, self.w.dtype))
 
     with monkeypatch.context() as patch:
         patch.setattr(_PlaneSearch, "__init__", spy)
@@ -590,15 +590,22 @@ class TestFloatSearch:
     def test_complex_systems_never_search_in_float(self, monkeypatch):
         system = random_projection_system(8, 12, 92)
         seen = searched_dtypes(monkeypatch, lambda: qdisc_estimate(system, restarts=2, sweeps=1, seed=93))
-        assert seen and all(w == np.complex128 for _, _, w in seen)
+        assert seen and all(w == np.complex128 for _, _, _, w in seen)
 
     def test_haar_restarts_stay_complex_on_set_systems(self, monkeypatch):
         n = 9
         system = to_projection_system(arithmetic_progressions(n))
+        est = qdisc_estimate(system, restarts=2, sweeps=1, seed=94)
         seen = searched_dtypes(monkeypatch, lambda: qdisc_estimate(system, restarts=2, sweeps=1, seed=94))
-        dtypes = [(u, w) for _, u, w in seen]
-        assert dtypes.count((np.complex128, np.complex128)) == n - 1  # one Haar start per k in 1..N-1
-        assert dtypes.count((np.float64, np.float64)) == len(dtypes) - (n - 1) >= n - 1
+        # every k in 1..N-1 whose floor is within the estimate is searched: once from a Haar start
+        # (complex) and at least once from the identity (float); the full set [N] prunes the rest
+        floors = qdisc._slice_floors(system.stacked().real, system.ranks().astype(float))
+        kept = [k for k in range(1, n) if floors[k] <= est.value**2]
+        assert kept == [4, 5]
+        haar = sorted(k for _, k, u, w in seen if (u, w) == (np.complex128, np.complex128))
+        assert haar == kept
+        real = [k for _, k, u, w in seen if (u, w) == (np.float64, np.float64)]
+        assert len(haar) + len(real) == len(seen) and set(real) >= set(kept)
 
     def test_every_compare_ap_system_searches_in_float(self, monkeypatch, tmp_path):
         def compare_ap():
@@ -608,8 +615,8 @@ class TestFloatSearch:
                 assert cli.main(argv) == 0
 
         seen = searched_dtypes(monkeypatch, compare_ap)
-        assert {n for n, _, _ in seen} == {*range(6, 13), 20}
-        assert all(u == w == np.float64 for _, u, w in seen)
+        assert {n for n, _, _, _ in seen} == {*range(6, 13), 20}
+        assert all(u == w == np.float64 for _, _, u, w in seen)
 
     def test_identity_starts_are_built_when_refined(self):
         # one dense N x N complex start per k would hold (N + 1) N^2 16 B = 33.8 MB
@@ -621,6 +628,101 @@ class TestFloatSearch:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+def unpruned(monkeypatch, run):
+    """run() with every slice floor at 0, so that no candidate is skipped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(qdisc, "_slice_floors", lambda stacked, ranks: np.zeros(stacked.shape[-1] + 1))
+        return run()
+
+
+def estimate_key(est):
+    return est.value, est.plus_count, est.converged, est.witness.array.tobytes()
+
+
+def max_objective_sq(system, chi):
+    """max_m objective^2 of every coloring in a (T, N, N) stack."""
+    t1, t2 = trace_pair(system.stacked()[None] @ chi[:, None])
+    return (t1 * t1 + system.ranks() - t2).max(axis=1)
+
+
+PROJECTION_SYSTEMS = [(f"projection{i}", random_projection_system(12, 48, (96, i))) for i in range(10)]
+
+
+class TestSliceFloors:
+    """Every coloring with k plus eigenvalues scores at least sqrt(floor_k),
+    so the candidates the floors skip could never have replaced the best."""
+
+    @pytest.mark.parametrize("config", FLOAT_CONFIGS, ids=["r1s1", "r2s2", "r1s6"])
+    def test_skipping_keeps_every_estimate(self, monkeypatch, config):
+        systems = [(name, to_projection_system(system)) for name, system in SET_SYSTEMS] + PROJECTION_SYSTEMS
+        differ = []
+        for i, (name, system) in enumerate(systems):
+            kwargs = dict(config, seed=(97, i))
+            est = qdisc_estimate(system, **kwargs)
+            full = unpruned(monkeypatch, lambda: qdisc_estimate(system, **kwargs))
+            if estimate_key(est) != estimate_key(full):
+                differ.append(f"{name}: pruned {est.value!r} k={est.plus_count}, full {full.value!r} k={full.plus_count}")
+        assert not differ, "\n".join(differ)
+
+    def test_skipping_keeps_a_beam_estimate(self, monkeypatch):
+        system = random_projection_system(16, 64, 98)
+        kwargs = dict(restarts=4, sweeps=2, refine_top=8, plane_cap=40, seed=99)
+        est = qdisc_estimate(system, **kwargs)
+        assert estimate_key(est) == estimate_key(unpruned(monkeypatch, lambda: qdisc_estimate(system, **kwargs)))
+
+    @pytest.mark.parametrize("system, kwargs", [
+        (to_projection_system(arithmetic_progressions(20)), dict(restarts=1, sweeps=1, seed=100)),
+        (random_projection_system(24, 96, 101), dict(restarts=1, sweeps=2, seed=102)),  # qdisc-search
+    ], ids=["ap20", "qdisc-search"])
+    def test_candidates_are_skipped(self, monkeypatch, system, kwargs):
+        pruned = searched_dtypes(monkeypatch, lambda: qdisc_estimate(system, **kwargs))
+        full = unpruned(monkeypatch, lambda: searched_dtypes(monkeypatch, lambda: qdisc_estimate(system, **kwargs)))
+        assert 0 < len(pruned) < len(full)
+
+    @pytest.mark.parametrize("system", [
+        random_projection_system(6, 5, 103),
+        random_projection_system(8, 3, 104),
+        to_projection_system(random_set_system(7, 6, 105)),
+        to_projection_system(arithmetic_progressions(6)),
+    ], ids=["projection6", "projection8", "sets7", "ap6"])
+    def test_weak_duality_at_haar_colorings(self, system):
+        n = system.dim
+        floors = qdisc._slice_floors(system.stacked(), system.ranks().astype(float))
+        u = randmat.haar_batch(np.random.default_rng(106), 200, n)
+        for k in range(n + 1):
+            chi = conjugate_diagonal(u, np.where(np.arange(n) < k, 1.0, -1.0))
+            assert max_objective_sq(system, chi).min() >= floors[k] - 1e-12, k
+
+    def test_the_full_set_bounds_every_slice(self):
+        n = 7
+        system = to_projection_system(SetSystem(n, ((1, 3), tuple(range(1, n + 1)), (2,))))
+        floors = qdisc._slice_floors(system.stacked().real, system.ranks().astype(float))
+        assert (floors >= (2 * np.arange(n + 1) - n) ** 2).all()
+
+    def test_one_rank_one_projection_prunes_no_inner_slice(self):
+        n = 6
+        system = ProjectionSystem(np.stack([rank_one(np.random.default_rng(107), n).array]))
+        floors = qdisc._slice_floors(system.stacked(), system.ranks().astype(float))
+        assert (floors[1:n] == 0).all() and min(floors[0], floors[n]) >= 1  # chi = -I or I
+
+    @pytest.mark.parametrize("name, system", [
+        *[(name, to_projection_system(system)) for name, system in SET_SYSTEMS[::4]], *PROJECTION_SYSTEMS[:3],
+    ])
+    def test_the_estimate_is_above_its_own_floor(self, name, system):
+        est = qdisc_estimate(system, restarts=1, sweeps=1, seed=108)
+        floors = qdisc._slice_floors(system.stacked(), system.ranks().astype(float))
+        assert floors[est.plus_count] <= est.value**2
+
+
+def test_diagonal_sets_match_the_per_row_reading():
+    systems = [system for _, system in SET_SYSTEMS] + [SetSystem(5, ((), (2, 5), ()))]
+    for stacked in (to_projection_system(system).stacked() for system in systems):
+        rows = np.diagonal(stacked, axis1=1, axis2=2).real
+        reference = [tuple(int(i + 1) for i in np.flatnonzero(row > 0.5)) for row in rows]
+        assert qdisc._diagonal_sets(stacked) == qdisc._diagonal_sets(stacked.real) == reference
+    assert qdisc._diagonal_sets(random_projection_system(4, 3, 109).stacked()) is None
 
 
 class TestDeltaThreshold:

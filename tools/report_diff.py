@@ -38,6 +38,10 @@ COMMANDS = (
     # longer searches on set systems, where exactly tied angles are broken
     # by the last bits of the scores
     "compare --ap-min 13 --ap-max 19 --random-count 0 --restarts 1 --sweeps 6 --seed 1",
+    # restarts, where the slice floors skip whole plus counts: a beam search
+    # on random projections, and random set systems with Haar starts
+    "qdisc --random-n 16 --random-m 64 --restarts 4 --sweeps 2 --refine-top 8 --plane-cap 40 --seed 2801",
+    "compare --ap-min 6 --ap-max 9 --random-count 3 --restarts 2 --sweeps 2 --seed 2802",
     # set systems above the default exhaustive cap of 24
     "compare --ap-min 25 --ap-max 26 --random-count 0 --restarts 1 --sweeps 0 --cap 26 --seed 1",
     # mc-small and dpp-large
