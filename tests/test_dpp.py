@@ -228,6 +228,66 @@ class TestSampleMasks:
             sample_masks(k, 5, 51)
 
 
+def _tables_passed(monkeypatch):
+    """Record the `cols` argument of every `_place_points` call."""
+    seen = []
+    place = dpp._place_points
+
+    def spy(vecs, keep, phase2, cols=None):
+        seen.append(cols)
+        return place(vecs, keep, phase2, cols)
+
+    monkeypatch.setattr(dpp, "_place_points", spy)
+    return seen
+
+
+class TestProjectionTable:
+    """A projection kernel's draws keep every eigenvector, so `sample_masks`
+    reads the columns of Q = V V* from one table built per call."""
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_table_equals_general_product(self, n):
+        rank = n // 2
+        chunk = 4 * BATCH_ENTRIES // (n * rank)
+        rng = np.random.default_rng((56, n))
+        for i in range(20):
+            k = validate_kernel(random_projection(n, (57, n, i)).array)
+            vecs = k.eigenvectors[:, k.eigenvalues > 0.0]
+            table = vecs.conj() @ vecs.T
+            for trials in (chunk - 1, chunk, chunk + 1):
+                keep = np.ones((trials, rank), dtype=bool)
+                phase2 = rng.random((trials, rank))
+                masks = dpp._place_points(vecs, keep, phase2, table)
+                assert np.array_equal(masks, dpp._place_points(vecs, keep, phase2))
+                assert (masks.sum(axis=1) == rank).all()
+
+    def test_projection_kernel_passes_the_table(self, monkeypatch):
+        seen = _tables_passed(monkeypatch)
+        k = validate_kernel(random_projection(8, 58).array)
+        assert np.array_equal(sample_masks(k, 40, 59), reference_masks(k, 40, 59))
+        assert seen and all(cols is not None and cols.shape == (8, 8) for cols in seen)
+
+    def test_near_projection_takes_the_general_path(self, monkeypatch):
+        # 1 - 1e-9 lies outside SNAP_TOL of 1, so the kernel is no projection
+        seen = _tables_passed(monkeypatch)
+        k = validate_kernel((1.0 - 1e-9) * random_projection(64, 60).array)
+        assert k.eigenvalues.max() == pytest.approx(1.0 - 1e-9, abs=1e-12)
+        assert not k.is_projection
+        trials = 4 * BATCH_ENTRIES // (64 * 32) + 1
+        assert np.array_equal(sample_masks(k, trials, 61), reference_masks(k, trials, 61))
+        assert seen and all(cols is None for cols in seen)
+
+    def test_breakdown_raised_on_the_table_path(self, monkeypatch):
+        # zeroed eigenvectors leave a projection kernel no mass to place
+        seen = _tables_passed(monkeypatch)
+        k = validate_kernel(random_projection(8, 62).array)
+        assert k.is_projection
+        k.eigenvectors = np.zeros((8, 8), dtype=np.complex128)
+        with pytest.raises(NumericalBreakdown):
+            sample_masks(k, 5, 63)
+        assert seen and seen[0] is not None
+
+
 class TestRestriction:
     def test_full_restriction(self):
         k = random_kernel(4, 3)

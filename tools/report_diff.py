@@ -48,6 +48,8 @@ COMMANDS = (
     "dpp sample --kind random --n 8 --trials 625 --seed 2104",
     "haar --n-grid 2 3 4 5 6 7 8 --trials 625 --seed 2105",
     "dpp sample --kind projection --n 128 --trials 50 --seed 2106",
+    # enough projection draws that a sampler change which moves a few shows
+    "dpp sample --kind projection --n 64 --trials 2000 --seed 2107",
     # dpp check: the README example, the acceptance config and a projection
     # kernel (whose size law is a point mass); all three exit 0
     "dpp check --seed 1",
