@@ -27,7 +27,7 @@ from .combdisc import DEFAULT_EXHAUSTIVE_CAP, disc_exact, disc_heuristic
 from .concentration import comparison_check, lower_bound_constants
 from .dpp import exact_distribution, sample_many, sample_masks, size_pmf, validate_kernel
 from .errors import GroundSetTooLarge, QdlabError, ValidationError
-from .matcore import BATCH_ENTRIES, matrix_from_json, matrix_to_json
+from .matcore import batches, matrix_from_json, matrix_to_json
 from .qdisc import QdiscEstimate, delta_event_count, delta_thresholds, objective, qdisc_estimate
 from .randmat import (
     concentration_probe,
@@ -487,19 +487,18 @@ def _tv_row(check: str, counts: np.ndarray, law: np.ndarray, rng: np.random.Gene
     replicates (a Monte Carlo test; Barnard 1963, Hope 1968). Exact draws
     and the replicates are exchangeable, so an exact sampler passes with
     probability at least 1 - 1 / (TV_REPLICATES + 1). The replicates draw
-    from the law clipped at 0 and renormalised, in stacks of about
+    from the law clipped at 0 and renormalised, in the `batches` of
     BATCH_ENTRIES counts."""
     trials = int(counts.sum())
     p = np.clip(law, 0.0, None)
     p /= p.sum()
-    chunk = max(1, BATCH_ENTRIES // law.size)
 
     def tv(c):
         return float(0.5 * np.abs(c / trials - law).sum(axis=-1).max())
 
     value = tv(counts)
-    gate = max(tv(rng.multinomial(trials, p, size=min(chunk, TV_REPLICATES - lo)))
-               for lo in range(0, TV_REPLICATES, chunk))
+    gate = max(tv(rng.multinomial(trials, p, size=rows.stop - rows.start))
+               for rows in batches(TV_REPLICATES, law.size))
     return {"check": check, "index": "", "value": value, "reference": 0.0, "gate": gate, "passed": value <= gate}
 
 
@@ -651,14 +650,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         cfg = build_config(args.subcommand, args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValidationError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    start = time.perf_counter()
-    try:
+        start = time.perf_counter()
         rows, summary = _COMMANDS[args.subcommand][0](cfg, np.random.SeedSequence(cfg["seed"] or 0))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateM, GroundSetTooLarge, ValidationError
-from .matcore import BATCH_ENTRIES
+from .matcore import BATCH_ENTRIES, batches
 from .setsys import Coloring, SetSystem, incidence_matrix
 
 DEFAULT_EXHAUSTIVE_CAP = 24
-_CHUNK = 1 << 15  # most colorings drawn at once
 _LOW_BITS = 12  # at most 2^_LOW_BITS colorings per enumeration block
 _BLOCK_ENTRIES = 64 * BATCH_ENTRIES  # cap on the entries of one coloring x set table
 
@@ -122,11 +121,9 @@ def random_coloring_satisfaction(system: SetSystem, trials: int, seed) -> Random
     a = incidence_matrix(system).astype(np.float64)
     rng = np.random.default_rng(seed)
     successes = 0
-    # splitting the draw into chunks leaves the stream of signs unchanged
-    chunk = max(1, min(_CHUNK, _BLOCK_ENTRIES // max(a.shape)))
-    for start in range(0, trials, chunk):
-        count = min(chunk, trials - start)
-        signs = rng.integers(0, 2, size=(count, system.ground_size)) * 2.0 - 1.0
+    # splitting the draw into batches leaves the stream of signs unchanged
+    for rows in batches(trials, max(a.shape), _BLOCK_ENTRIES):
+        signs = rng.integers(0, 2, size=(rows.stop - rows.start, system.ground_size)) * 2.0 - 1.0
         sums = signs @ a.T
         successes += int(np.count_nonzero((np.abs(sums) <= thresholds[None, :]).all(axis=1)))
     return RandomColoringProbe(thresholds, trials, successes)

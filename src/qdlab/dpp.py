@@ -21,7 +21,7 @@ from .errors import (
     SpectrumOutOfRange,
     ValidationError,
 )
-from .matcore import BATCH_ENTRIES, HermitianMatrix, imbalance_terms, make_hermitian
+from .matcore import BATCH_ENTRIES, HermitianMatrix, batches, imbalance_terms, make_hermitian
 
 SPECTRUM_TOL = 1e-10
 # Eigenvalues this close to 0 or 1 are snapped exactly, so projection kernels
@@ -117,51 +117,53 @@ def sample_masks(kernel: DPPKernel, trials: int, seed) -> np.ndarray:
     Draw after draw reads N phase-1 uniforms, one per eigenvector, then one
     phase-2 uniform per kept eigenvector, from the one stream
     `default_rng(seed)` (read ahead in blocks, so a Generator passed as
-    `seed` ends past the last draw). The draws run in stacks whose factors
-    hold at most 4 BATCH_ENTRIES complex entries (1 MiB): a draw's factor
-    has at most rank x N entries. A projection kernel's draws all keep every
-    eigenvector, so Q = V V* is built once per call (one more N x N array)
-    and a step reads column s from it. A draw's residual weights agree with
-    those of the Schur-complement draw made alone on the same uniforms to
-    about 1e-16 relative, so the two can differ only where a uniform lands
-    within rounding of a cumulative-weight boundary (BLAS products may also
-    round differently for different stack sizes, or with and without Q; none
-    of 70,000 projection draws at N = 16, 64 and 128 moved with Q).
+    `seed` ends past the last draw). The draws run in the `batches` of
+    4 BATCH_ENTRIES complex factor entries (1 MiB), N x max(1, rank) per
+    draw. A projection kernel's draws all keep every eigenvector, so
+    Q = V V* is built once per call (one more N x N array) and a step reads
+    column s from it. A draw's residual weights agree with those of the
+    Schur-complement draw made alone on the same uniforms to about 1e-16
+    relative, so the two can differ only where a uniform lands within
+    rounding of a cumulative-weight boundary (BLAS products may also round
+    differently for different stack sizes, or with and without Q; none of
+    70,000 projection draws at N = 16, 64 and 128 moved with Q).
     """
     if trials < 1:
         raise ValidationError("need trials >= 1")
     n = kernel.dim
     plus = kernel.eigenvalues > 0.0
     lam, vecs = kernel.eigenvalues[plus], kernel.eigenvectors[:, plus]
-    chunk = max(1, 4 * BATCH_ENTRIES // (n * max(1, lam.size)))
     cols = vecs.conj() @ vecs.T if kernel.is_projection else None
     out = np.empty((trials, n), dtype=bool)
-    lo = 0
-    for u in _stream_uniforms(kernel.eigenvalues, trials, seed, chunk):
-        out[lo : lo + len(u)] = _place_points(vecs, u[:, :n][:, plus] < lam, u[:, n:], cols)
-        lo += len(u)
+    draws = batches(trials, n * max(1, lam.size), 4 * BATCH_ENTRIES)
+    for rows, u in _stream_uniforms(kernel.eigenvalues, draws, seed):
+        out[rows] = _place_points(vecs, u[:, :n][:, plus] < lam, u[:, n:], cols)
     return out
 
 
-def _stream_uniforms(lam: np.ndarray, trials: int, seed, chunk: int):
-    """Uniform rows of `chunk` draws at a time, cut from one stream. Row t
-    holds the 2N values from the start of draw t, of which a draw that keeps
-    k eigenvectors reads the first N + k, so the next draw starts there."""
+def _stream_uniforms(lam: np.ndarray, draws, seed):
+    """Each slice of `draws` (consecutive, from 0) with its uniform rows, cut
+    from one stream. Row t holds the 2N values from the start of draw t, of
+    which a draw that keeps k eigenvectors reads the first N + k, so the next
+    draw starts there. `lam` ascends, and an eigenvalue of exactly 0 or 1
+    decides its comparison with a uniform in [0, 1) alone, so k is read off
+    the columns of the fractional eigenvalues only, plus the count of 1s."""
     n = lam.size
+    lo, hi = np.count_nonzero(lam == 0.0), n - np.count_nonzero(lam == 1.0)
     rng = np.random.default_rng(seed)
     buf = np.empty(0)
-    for lo in range(0, trials, chunk):
-        m = min(chunk, trials - lo)
+    for rows in draws:
+        m = rows.stop - rows.start
         # m draws read at most 2N m values, so every row below lies in buf
         buf = np.concatenate([buf, rng.random(max(0, 2 * n * m - buf.size))])
         windows = np.lib.stride_tricks.sliding_window_view(buf, 2 * n)
-        kept = np.count_nonzero(windows[:, :n] < lam, axis=1).tolist()
+        kept = (np.count_nonzero(windows[:, lo:hi] < lam[lo:hi], axis=1) + (n - hi)).tolist()
         starts = []
         pos = 0
         for _ in range(m):
             starts.append(pos)
             pos += n + kept[pos]
-        yield windows[starts]
+        yield rows, windows[starts]
         buf = buf[pos:]
 
 

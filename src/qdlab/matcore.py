@@ -37,6 +37,15 @@ ORTHONORMAL_TOL = 1e-8
 BATCH_ENTRIES = 1 << 14
 
 
+def batches(count: int, entries: int, budget: int = BATCH_ENTRIES):
+    """The slices of range(count), in order, of max(1, budget // entries)
+    items each (the last one short), so that a batch of items of `entries`
+    entries each holds at most `budget` entries, or one item."""
+    step = max(1, budget // entries)
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -192,7 +201,7 @@ def as_projection(matrix) -> OrthogonalProjection:
 def projection_stack(raw) -> tuple[np.ndarray, np.ndarray]:
     """An (M, N, N) stack of orthogonal projections, read-only, and their int
     ranks. Each slice is checked and symmetrized as as_projection does a
-    matrix, in chunks of about BATCH_ENTRIES entries so the temporaries stay
+    matrix, in the `batches` of BATCH_ENTRIES entries so the temporaries stay
     small. A writeable complex128 array is taken over: validated in place and
     made read-only. Anything else is converted or copied first."""
     stack = np.asarray(raw, dtype=np.complex128)
@@ -201,10 +210,9 @@ def projection_stack(raw) -> tuple[np.ndarray, np.ndarray]:
     if stack.ndim != 3 or len(stack) < 1 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
         raise ValidationError(f"expected a stack of M >= 1 square matrices with N >= 1, got shape {stack.shape}")
     ranks = np.empty(len(stack), dtype=int)
-    step = max(1, BATCH_ENTRIES // stack[0].size)
-    for lo in range(0, len(stack), step):
-        chunk = stack[lo : lo + step] = _hermitian_part(stack[lo : lo + step])
-        ranks[lo : lo + step] = _two_point_counts(chunk, 0.0, 1.0, "projection")
+    for rows in batches(len(stack), stack[0].size):
+        chunk = stack[rows] = _hermitian_part(stack[rows])
+        ranks[rows] = _two_point_counts(chunk, 0.0, 1.0, "projection")
     return _freeze(stack), _freeze(ranks)
 
 
@@ -282,8 +290,13 @@ def imbalance_terms(b: np.ndarray, size) -> tuple[np.ndarray, np.ndarray]:
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
-    """A SeedSequence unchanged, anything else as the entropy of a new one."""
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    """A new SeedSequence: an equal copy of a SeedSequence, so spawning from
+    it leaves the caller's own unspawned, or anything else as the entropy of
+    a new one."""
+    if not isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed)
+    return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
+                                  n_children_spawned=seed.n_children_spawned)
 
 
 def commutator(a, b) -> np.ndarray:

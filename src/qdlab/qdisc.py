@@ -34,6 +34,7 @@ from .matcore import (
     BATCH_ENTRIES,
     OrthogonalProjection,
     QuantumColoring,
+    batches,
     commutator,
     conjugate_diagonal,
     imbalance_terms,
@@ -209,10 +210,9 @@ def delta_event_count(system: ProjectionSystem, colorings, c: float) -> int:
 
 
 def _objective_values(chi: np.ndarray, stacked: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """objective(chi, P_m) for every m. P_m chi is formed in slices of about
+    """objective(chi, P_m) for every m. P_m chi is formed in the `batches` of
     4 * BATCH_ENTRIES entries; each matrix's values match the whole product's."""
-    step = max(1, 4 * BATCH_ENTRIES // chi.size)
-    pairs = [trace_pair(stacked[lo : lo + step] @ chi) for lo in range(0, len(stacked), step)]
+    pairs = [trace_pair(stacked[rows] @ chi) for rows in batches(len(stacked), chi.size, 4 * BATCH_ENTRIES)]
     t1, t2 = np.concatenate(pairs, axis=-1)
     return np.sqrt(np.clip(t1 * t1 + ranks - t2, 0.0, None))
 

@@ -18,8 +18,7 @@ import numpy as np
 from .dpp import DPPKernel, validate_kernel
 from .errors import DegenerateDim, ValidationError
 from .matcore import (
-    BATCH_ENTRIES, OrthogonalProjection, QuantumColoring, conjugate_diagonal, make_hermitian, seed_sequence,
-    trace_pair,
+    OrthogonalProjection, QuantumColoring, batches, conjugate_diagonal, make_hermitian, seed_sequence, trace_pair,
 )
 from .setsys import ProjectionSystem, check_dense_size
 
@@ -36,15 +35,6 @@ def haar_batch(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / math.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
-
-
-def _haar_chunks(rng: np.random.Generator, trials: int, n: int):
-    """Draw `trials` unitaries in chunks of BATCH_ENTRIES matrix entries,
-    yielding (rows, stack) pairs in draw order."""
-    step = max(1, BATCH_ENTRIES // (n * n))
-    for lo in range(0, trials, step):
-        hi = min(lo + step, trials)
-        yield slice(lo, hi), haar_batch(rng, hi - lo, n)
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -290,7 +280,8 @@ def moment_gates(n: int, trials: int, seed, all_ranks: bool = False) -> list[Mom
     t1 = np.empty((trials, len(ranks)))
     t2 = np.empty((trials, len(corners)))
     m4 = np.empty((trials, 4))  # columns in the field order of HaarFourthMoments
-    for rows, u in _haar_chunks(rng, trials, n):
+    for rows in batches(trials, n * n):
+        u = haar_batch(rng, rows.stop - rows.start, n)
         chi = conjugate_diagonal(u, d)
         diag_cum = np.zeros((u.shape[0], n + 1))
         diag_cum[:, 1:] = np.cumsum(np.diagonal(chi, axis1=1, axis2=2).real, axis=1)
@@ -334,8 +325,8 @@ def concentration_probe(n: int, trials: int, deviations=None, seed=0) -> Concent
     d = coloring_spectrum(n)
     f1 = np.empty(trials)
     f2 = np.empty(trials)
-    for rows, u in _haar_chunks(rng, trials, n):
-        f1[rows], sq = trace_pair(conjugate_diagonal(u, d) @ p)
+    for rows in batches(trials, n * n):
+        f1[rows], sq = trace_pair(conjugate_diagonal(haar_batch(rng, rows.stop - rows.start, n), d) @ p)
         f2[rows] = r0 - sq
     m1 = exact_mean_trace(n, r0)
     m2 = exact_mean_commutator_term(n, r0)

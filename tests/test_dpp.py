@@ -10,6 +10,7 @@ from qdlab import (
     dpp,
     exact_distribution,
     expected_squared_imbalance,
+    haar_unitary,
     joint_intensity,
     moments_of_count,
     random_kernel,
@@ -205,6 +206,16 @@ class TestSampleMasks:
             masks = sample_masks(k, 30, 47)
             assert np.array_equal(masks, reference_masks(k, 30, 47))
             assert (masks == bool(matrix[0, 0])).all()
+
+    @pytest.mark.parametrize("trials", [40, 4 * BATCH_ENTRIES // (8 * 5) + 1])
+    def test_spectrum_mixing_zeros_fractions_and_ones(self, trials):
+        # snapped eigenvalues sit at both ends of the spectrum, and a draw
+        # keeps the 1s and drops the 0s without reading their uniforms
+        u = haar_unitary(8, 64)
+        k = validate_kernel((u * [0.0, 0.0, 0.0, 0.3, 0.5, 0.8, 1.0, 1.0]) @ u.conj().T)
+        assert np.count_nonzero(k.eigenvalues == 0.0) == 3 and np.count_nonzero(k.eigenvalues == 1.0) == 2
+        masks = sample_masks(k, trials, 65)
+        assert np.array_equal(masks, reference_masks(k, trials, 65))
 
     def test_sample_and_sample_many_wrap_the_masks(self):
         k = random_kernel(6, 48)

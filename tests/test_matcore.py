@@ -24,7 +24,9 @@ from qdlab.errors import (
     UnsupportedP,
     ValidationError,
 )
-from qdlab.matcore import trace_pair
+from qdlab.matcore import seed_sequence, trace_pair
+from qdlab.qdisc import qdisc_estimate
+from qdlab.randmat import random_projection_system
 
 from conftest import random_hermitian
 
@@ -282,3 +284,31 @@ class TestTracePair:
         t1, t2 = trace_pair(np.zeros((4, 0, 0), dtype=np.complex128))
         assert np.array_equal(t1, np.zeros(4))
         assert np.array_equal(t2, np.zeros(4))
+
+
+class TestSeedSequence:
+    """A SeedSequence passed as a seed is a value: the call spawns from a copy."""
+
+    def test_reused_seed_gives_equal_results(self):
+        system = random_projection_system(6, 8, 1)
+        seed = np.random.SeedSequence(5)
+        first = qdisc_estimate(system, restarts=2, seed=seed)
+        again = qdisc_estimate(system, restarts=2, seed=seed)
+        fresh = qdisc_estimate(system, restarts=2, seed=np.random.SeedSequence(5))
+        for est in (again, fresh):
+            assert est.value == first.value
+            assert np.array_equal(est.witness.array, first.witness.array)
+        systems = [random_projection_system(4, 3, s) for s in (seed, seed, np.random.SeedSequence(5))]
+        for other in systems[1:]:
+            assert np.array_equal(other.stacked(), systems[0].stacked())
+        assert seed.n_children_spawned == 0
+
+    def test_copy_is_equal_and_unspawned(self):
+        seed = np.random.SeedSequence(7, spawn_key=(1, 2), pool_size=8)
+        seed.spawn(3)
+        copy = seed_sequence(seed)
+        assert copy is not seed
+        assert (copy.entropy, copy.spawn_key, copy.pool_size, copy.n_children_spawned) == (7, (1, 2), 8, 3)
+        assert np.array_equal(copy.generate_state(4), seed.generate_state(4))
+        copy.spawn(2)
+        assert seed.n_children_spawned == 3

@@ -19,7 +19,8 @@ from qdlab import (
 )
 from qdlab.errors import DegenerateDim, ValidationError
 from qdlab import randmat
-from qdlab.randmat import BATCH_ENTRIES, _gate, coloring_spectrum, haar_batch, moment_gates
+from qdlab.matcore import BATCH_ENTRIES
+from qdlab.randmat import _gate, coloring_spectrum, haar_batch, moment_gates
 
 
 def reference_haar(rng, n):

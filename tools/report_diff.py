@@ -42,6 +42,9 @@ COMMANDS = (
     # on random projections, and random set systems with Haar starts
     "qdisc --random-n 16 --random-m 64 --restarts 4 --sweeps 2 --refine-top 8 --plane-cap 40 --seed 2801",
     "compare --ap-min 6 --ap-max 9 --random-count 3 --restarts 2 --sweeps 2 --seed 2802",
+    # 100 projections at N = 32: validating the stack takes 7 batches, and
+    # the final objective check 2
+    "qdisc --random-n 32 --random-m 100 --restarts 1 --sweeps 0 --seed 2901",
     # set systems above the default exhaustive cap of 24
     "compare --ap-min 25 --ap-max 26 --random-count 0 --restarts 1 --sweeps 0 --cap 26 --seed 1",
     # mc-small and dpp-large
