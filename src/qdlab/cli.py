@@ -204,12 +204,13 @@ TV_REPLICATES = 999
 # every tested value: a command's per-trial arrays hold at most 2^20 rows.
 MAX_TRIALS = 1 << 20
 
-# Options that set a ground-set size N, a set count M or a trial count, and
-# their largest supported value; checked before any command allocates.
+# Options that set a ground-set size N, a set count M or a count of trials,
+# restarts or random systems, and their largest supported value; checked
+# before any command allocates (or spawns a seed child per count).
 _SIZES = (
     (("n", "n_grid", "random_n", "ap", "ap_min", "ap_max"), MAX_GROUND_SIZE),
     (("random_m", "m_grid", "m_cap"), MAX_SET_COUNT),
-    (("trials", "probe_trials"), MAX_TRIALS),
+    (("trials", "probe_trials", "restarts", "random_count"), MAX_TRIALS),
 )
 
 # disc is stochastic only with a random generator or the heuristic search.

@@ -263,33 +263,20 @@ def _root_max(squares: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(squares.max(axis=-1), 0.0))
 
 
-def _unit_rows(u: np.ndarray) -> np.ndarray | None:
-    """The rows o with column l of u equal to e_o[l], when every entry of u is
-    exactly 0 or 1 and every column holds one 1; None for any other u."""
-    rows = u.real.argmax(axis=0)
-    if np.count_nonzero(u) != u.shape[1] or not (u[rows, np.arange(u.shape[1])] == 1).all():
-        return None
-    return rows
+def _rotated(start: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """U* P_m U for every m. A start of rows (a permutation start, U = I[:, rows])
+    gathers the rows and columns `rows` of the stack: each entry of the product
+    is one P_ab times 1 plus exact zeros, so the gather is the product exactly.
+    A unitary U (a Haar start) takes the dense product."""
+    if start.ndim == 1:
+        return stacked[:, start[:, None], start]
+    return np.einsum("al,mab,bk->mlk", start.conj(), stacked, start, optimize=True)
 
 
-def _dense_rotated(u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    return np.einsum("al,mab,bk->mlk", u.conj(), stacked, u, optimize=True)
-
-
-def _rotated(u: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """U* P_m U for every m. At a selection U (every permutation start) each
-    entry is one P_ab times 1 plus exact zeros, so the gather of rows and
-    columns o is the product exactly, without the dense temporaries."""
-    rows = _unit_rows(u)
-    return _dense_rotated(u, stacked) if rows is None else stacked[:, rows[:, None], rows]
-
-
-def _plus_value(u: np.ndarray | None, k: int, stacked: np.ndarray, ranks: np.ndarray) -> float:
-    """The max objective at U D_k U*; None stands for the identity, whose
-    plus block is gathered in the layout `_rotated` gathers it in."""
-    rows = np.arange(k)
-    plus = stacked[:, rows[:, None], rows] if u is None else _rotated(u[:, :k], stacked)
-    return float(_root_max(imbalance_terms(plus, ranks)[1]))
+def _plus_value(start: np.ndarray, k: int, stacked: np.ndarray, ranks: np.ndarray) -> float:
+    """The max objective at U D_k U*, from the plus block of the start's
+    first k columns (`rows[:k]`, or `U[:, :k]`)."""
+    return float(_root_max(imbalance_terms(_rotated(start[..., :k], stacked), ranks)[1]))
 
 
 def _angle_basis(theta: np.ndarray) -> np.ndarray:
@@ -309,15 +296,16 @@ _WINDOWS = _TABLE[_WINDOW_ROWS]
 
 class _PlaneSearch:
     """Jacobi-style state of one candidate: U, k and the rotated projections
-    W_m = U* P_m U. Rotating the plane (i, j), i < k <= j, is a Givens update
-    of two columns of U and two rows and columns of W; it carries t1 = tr of
-    the plus block and v0 = objective^2, which `reread` reads off W."""
+    W_m = U* P_m U, from a start of rows (U = I[:, rows] in the stack's dtype)
+    or a unitary (copied). Rotating the plane (i, j), i < k <= j, is a Givens
+    update of two columns of U and two rows and columns of W; it carries t1 =
+    tr of the plus block and v0 = objective^2, which `reread` reads off W."""
 
-    def __init__(self, u: np.ndarray, k: int, stacked: np.ndarray, ranks: np.ndarray):
-        self.u = u.copy()
+    def __init__(self, start: np.ndarray, k: int, stacked: np.ndarray, ranks: np.ndarray):
+        self.u = np.eye(stacked.shape[-1], dtype=stacked.dtype)[:, start] if start.ndim == 1 else start.copy()
         self.k = k
         self.ranks = ranks
-        self.w = _rotated(u, stacked)
+        self.w = _rotated(start, stacked)
         self.reread()
 
     def reread(self) -> None:
@@ -365,14 +353,15 @@ class _PlaneSearch:
 
 
 def _refine(
-    value: float, u: np.ndarray, k: int, stacked: np.ndarray, ranks: np.ndarray,
+    value: float, start: np.ndarray, k: int, stacked: np.ndarray, ranks: np.ndarray,
     sweeps: int, plane_cap: int | None, rng: np.random.Generator,
 ) -> tuple[float, np.ndarray, bool]:
     """Greedy plane-rotation descent on the max objective from U D_k U*, of
-    value `value`, for 0 < k < N. Returns the final value, the final U and
+    value `value`, for 0 < k < N, where U is the start's (rows or a unitary,
+    as `_PlaneSearch` takes it). Returns the final value, the final U and
     whether the last sweep made no improvement."""
-    planes = [(i, j) for i in range(k) for j in range(k, u.shape[0])]
-    state = _PlaneSearch(u, k, stacked, ranks)
+    planes = [(i, j) for i in range(k) for j in range(k, stacked.shape[-1])]
+    state = _PlaneSearch(start, k, stacked, ranks)
     best, converged = value, False
     for _ in range(sweeps):
         state.reread()
@@ -430,29 +419,34 @@ def _diagonal_sets(stacked: np.ndarray) -> list[tuple[int, ...]] | None:
     return [tuple(members[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
-def _combinatorial_candidate(stacked: np.ndarray, seed, cap: int) -> np.ndarray | None:
+def _witness_start(stacked: np.ndarray, seed, cap: int) -> tuple[np.ndarray, int] | None:
     """For diagonally embedded set systems, the best deterministic +-1
     coloring is itself a quantum coloring; seed the search with it so the
-    estimate never exceeds the combinatorial discrepancy. The coloring is
-    exact up to N = cap and from the restart heuristic above."""
+    estimate never exceeds the combinatorial discrepancy. Returns the start
+    rows (the + indices, then the - ones) and its plus count k: I[:, rows]
+    D_k I[:, rows]* is the diagonal of the signs. The coloring is exact up to
+    N = cap and from the restart heuristic above."""
     sets = _diagonal_sets(stacked)
     if sets is None:
         return None
     n = stacked.shape[-1]
     nonempty = [s for s in sets if s]
     if not nonempty:
-        return np.ones(n)
+        return np.arange(n), n
     sub = SetSystem(n, tuple(nonempty))
     if n <= cap:
         _, witness = disc_exact(sub, cap=cap)
     else:
         _, witness = disc_heuristic(sub, trials=32, seed=seed)
-    return witness.signs.astype(float)
+    return np.argsort(witness.signs < 0, kind="stable"), int(np.count_nonzero(witness.signs > 0))
 
 
-def _permutation_unitary_for_signs(signs: np.ndarray) -> tuple[np.ndarray, int]:
-    order = np.argsort(signs < 0, kind="stable")  # the + indices, then the - ones
-    return np.eye(signs.size)[:, order], int(np.count_nonzero(signs > 0))
+def _start(rows: np.ndarray | None, child: np.random.SeedSequence, n: int) -> tuple[np.random.Generator, np.ndarray]:
+    """A candidate's Generator and start, built afresh from its child: its
+    rows, or for a Haar start (rows None) the unitary drawn first from the
+    Generator, the same each time it is built."""
+    rng = np.random.default_rng(child)
+    return rng, randmat.haar_unitary(n, rng) if rows is None else rows
 
 
 def qdisc_estimate(
@@ -480,10 +474,13 @@ def qdisc_estimate(
     coloring with k plus eigenvalues could replace the best, so the result
     is the one every candidate's search would give.
 
-    A real stack searched from a real start (the identity or the witness
-    permutation) keeps W and U real, so that search runs in float64; Haar
-    starts and complex stacks run in complex128. Identity starts are built
-    only when refined or chosen; Haar starts are all held until refined.
+    A candidate is (value, k, rows, child): a permutation start (the identity
+    or the witness order) is its rows, with U = I[:, rows], and a Haar start
+    (rows None) is only its SeedSequence child. Each start is built from
+    them when it is valued, refined or chosen unrefined, so no candidate
+    holds a unitary. A real stack searched from rows keeps W and U real, so
+    that search runs in float64; Haar starts and complex stacks run in
+    complex128.
     """
     if restarts < 1:
         raise ValidationError("need restarts >= 1")
@@ -492,45 +489,44 @@ def qdisc_estimate(
             raise ValidationError(f"need {name} >= {least}, got {count}")
     n = system.dim
     stacked = system.stacked()
-    narrow = stacked if stacked.imag.any() else stacked.real  # a view: real starts gather W afresh
+    narrow = stacked if stacked.imag.any() else stacked.real  # a view: row starts gather W afresh
     ranks = system.ranks().astype(float)
     k_children = seed_sequence(seed).spawn(n + 2)
 
-    candidates: list[tuple[float, np.ndarray | None, int, np.random.Generator]] = []
-    for k in range(n + 1):
-        restart_children = k_children[k].spawn(restarts)
-        for ridx in range(restarts):
-            rng = np.random.default_rng(restart_children[ridx])
-            u = None if ridx == 0 else randmat.haar_unitary(n, rng)
-            candidates.append((_plus_value(u, k, narrow if u is None else stacked, ranks), u, k, rng))
+    starts = [
+        (k, np.arange(n) if ridx == 0 else None, child)
+        for k in range(n + 1) for ridx, child in enumerate(k_children[k].spawn(restarts))
+    ]
+    witness = _witness_start(stacked, k_children[n + 1], cap)
+    if witness is not None:
+        rows, k = witness
+        starts.append((k, rows, k_children[n + 1].spawn(1)[0]))
+    candidates = [
+        (_plus_value(_start(rows, child, n)[1], k, stacked if rows is None else narrow, ranks), k, rows, child)
+        for k, rows, child in starts
+    ]
 
-    witness_signs = _combinatorial_candidate(stacked, k_children[n + 1], cap)
-    if witness_signs is not None:
-        u, k = _permutation_unitary_for_signs(witness_signs)
-        rng = np.random.default_rng(k_children[n + 1].spawn(1)[0])
-        candidates.append((_plus_value(u, k, narrow, ranks), u, k, rng))
-
-    order = sorted(range(len(candidates)), key=lambda t: (candidates[t][0], t))
-    refine_set = frozenset(order if refine_top is None else order[:refine_top])
+    candidates.sort(key=lambda candidate: candidate[0])  # stable: equal values keep their order
     floors = _slice_floors(narrow, ranks)
-    best_value, best_u, best_k, best_converged = math.inf, None, 0, False
-    for t in order:
-        value, u, k, rng = candidates[t]
+    best_value, best = math.inf, None
+    for position, (value, k, rows, child) in enumerate(candidates):
         # every coloring with k plus eigenvalues scores at least sqrt(floors[k]);
         # past the best by more than the rounding, the candidate cannot replace it
         if floors[k] > (best_value + _IMPROVE_TOL) ** 2 * (1.0 + _FLOOR_TOL):
             continue
-        converged = True
-        if t in refine_set and sweeps > 0 and 0 < k < n:  # k = 0 or N has no plane
-            u = np.eye(n, dtype=narrow.dtype) if u is None else u
-            search = stacked if np.iscomplexobj(u) else narrow
-            value, u, converged = _refine(value, u, k, search, ranks, sweeps, plane_cap, rng)
+        u, converged = None, True
+        if (refine_top is None or position < refine_top) and sweeps > 0 and 0 < k < n:  # k = 0 or N has no plane
+            rng, start = _start(rows, child, n)
+            search = stacked if rows is None else narrow
+            value, u, converged = _refine(value, start, k, search, ranks, sweeps, plane_cap, rng)
         if value < best_value - _IMPROVE_TOL:
-            best_value, best_u, best_k, best_converged = value, u, k, converged
+            best_value, best = value, (k, rows, child, u, converged)
 
+    best_k, rows, child, u, converged = best
+    if u is None:  # the winner was not refined: build its start again
+        u = _start(rows, child, n)[1] if rows is None else np.eye(n)[:, rows]
     signs = np.where(np.arange(n) < best_k, 1.0, -1.0)
-    best_u = np.eye(n) if best_u is None else best_u  # an identity start, not refined
-    chi = conjugate_diagonal(best_u.astype(np.complex128), signs)
+    chi = conjugate_diagonal(u.astype(np.complex128), signs)
     witness = QuantumColoring(make_hermitian(chi), plus_count=best_k)
     final_values = _objective_values(witness.array, stacked, ranks)
     return QdiscEstimate(
@@ -538,6 +534,5 @@ def qdisc_estimate(
         witness=witness,
         plus_count=best_k,
         restarts_used=restarts,
-        converged=best_converged,
+        converged=converged,
     )
-

@@ -757,6 +757,10 @@ class TestTrialCap:
             ["ubound", "--n", "4", "--m-grid", "4", "--trials", str(MAX_TRIALS + 1), "--c", "1"],
             ["ubound", "--n", "4", "--m-grid", "4", "--trials", "2", "--probe-trials", str(MAX_TRIALS + 1)],
             ["disc", "--ap", "4", "--heuristic", "--trials", str(MAX_TRIALS + 1)],
+            ["qdisc", "--random-n", "4", "--random-m", "3", "--restarts", str(MAX_TRIALS + 1)],
+            ["lbound", "--n-grid", "8", "--restarts", str(MAX_TRIALS + 1)],
+            ["compare", "--restarts", str(MAX_TRIALS + 1)],
+            ["compare", "--random-count", str(MAX_TRIALS + 1)],
         ],
     )
     def test_refused_before_the_command_runs(self, tmp_path, capsys, no_commands, argv):
@@ -777,7 +781,8 @@ class TestTrialCap:
                                           "--seed", "1"])
         cfg = build_config("ubound", args)
         assert cfg["trials"] == cfg["probe_trials"] == MAX_TRIALS
-        defaults = [opts[key].default for opts in _SCHEMAS.values() for key in ("trials", "probe_trials") if key in opts]
+        counts = ("trials", "probe_trials", "restarts", "random_count")
+        defaults = [opts[key].default for opts in _SCHEMAS.values() for key in counts if key in opts]
         assert max(defaults) < MAX_TRIALS
 
 

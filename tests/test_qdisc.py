@@ -37,12 +37,11 @@ from qdlab.qdisc import (
     ANGLE_GRID,
     _angle_basis,
     _objective_values,
-    _permutation_unitary_for_signs,
     _PlaneSearch,
     _plus_value,
     _root_max,
     _rotated,
-    _unit_rows,
+    _witness_start,
 )
 
 from conftest import random_unit_vector
@@ -50,6 +49,11 @@ from conftest import random_unit_vector
 
 def rank_one(rng, n):
     return make_projection_from_vectors(random_unit_vector(rng, n))
+
+
+def as_unitary(start, stacked):
+    """U of a search start: I[:, rows] in the stack's dtype for a start of rows, else the start."""
+    return np.eye(stacked.shape[-1], dtype=stacked.dtype)[:, start] if start.ndim == 1 else start
 
 
 class ReferenceState:
@@ -147,6 +151,7 @@ def reference_refine(value, u, k, stacked, ranks, sweeps, plane_cap, rng, log):
     """The former greedy plane-rotation descent, with qdisc._refine's
     signature and line search; appends (k, i, j, theta) of every accepted
     rotation to log."""
+    u = as_unitary(u, stacked)
     state = ReferenceState(u, k, stacked, ranks)
     best = state.objective_max()
     planes = [(i, j) for i in range(k) for j in range(k, u.shape[0])]
@@ -488,31 +493,29 @@ def dense_rotated(u, stacked):
 
 
 class TestRotatedStack:
-    """U* P_m U is a gather at selection matrices, the dense product else."""
+    """U* P_m U is a gather for a start of rows, U = I[:, rows], and the dense
+    product for a unitary."""
 
     @pytest.mark.parametrize("system, signs", [c[1:] for c in ROTATED_CASES], ids=[c[0] for c in ROTATED_CASES])
     def test_gather_equals_dense_product_on_selections(self, system, signs):
         n, stacked = system.dim, system.stacked()
         rng = np.random.default_rng((82, n))
         eye = np.eye(n, dtype=np.complex128)
-        starts = [eye, _permutation_unitary_for_signs(signs)[0]] + [eye[:, rng.permutation(n)] for _ in range(2)]
-        for u in starts:
+        starts = [np.arange(n), np.argsort(signs < 0, kind="stable")] + [rng.permutation(n) for _ in range(2)]
+        for rows in starts:
             for k in range(n + 1):
-                uk = u[:, :k]
-                assert np.array_equal(_unit_rows(uk), np.nonzero(uk.T)[1])
-                assert np.array_equal(_rotated(uk, stacked), dense_rotated(uk, stacked))
+                assert np.array_equal(_rotated(rows[:k], stacked), dense_rotated(eye[:, rows[:k]], stacked))
 
     @pytest.mark.parametrize("system, signs", [c[1:] for c in ROTATED_CASES], ids=[c[0] for c in ROTATED_CASES])
     def test_other_matrices_take_the_dense_product(self, system, signs):
         n, stacked = system.dim, system.stacked()
         perm = np.eye(n, dtype=np.complex128)[:, np.random.default_rng((83, n)).permutation(n)]
-        others = [haar_unitary(n, (84, n))]
+        others = [haar_unitary(n, (84, n)), perm.copy()]
         for entry in (-1.0, 1j, 1.0 - 2.0**-52):
             u = perm.copy()
             u[np.flatnonzero(u[:, n // 2]), n // 2] = entry
             others.append(u)
         for u in others:
-            assert _unit_rows(u) is None
             assert np.array_equal(_rotated(u, stacked), dense_rotated(u, stacked))
 
     @pytest.mark.parametrize(
@@ -526,20 +529,43 @@ class TestRotatedStack:
     )
     def test_same_estimate_without_the_gather(self, monkeypatch, system, kwargs):
         est = qdisc_estimate(system, **kwargs)
-        monkeypatch.setattr(qdisc, "_unit_rows", lambda u: None)
+        rotated = qdisc._rotated
+        monkeypatch.setattr(qdisc, "_rotated", lambda start, stacked: rotated(as_unitary(start, stacked), stacked))
         dense = qdisc_estimate(system, **kwargs)
         assert (est.value, est.plus_count, est.converged) == (dense.value, dense.plus_count, dense.converged)
         assert np.array_equal(est.witness.array, dense.witness.array)
 
     def test_permutation_starts_never_form_the_dense_product(self, monkeypatch):
         """At restarts=1 every start is the identity or the disc_exact witness."""
+        rotated = qdisc._rotated
 
-        def dense_rotated_forbidden(u, stacked):
-            raise AssertionError("a permutation start reached the dense product")
+        def rows_only(start, stacked):
+            assert start.ndim == 1, "a permutation start reached the dense product"
+            return rotated(start, stacked)
 
-        monkeypatch.setattr(qdisc, "_dense_rotated", dense_rotated_forbidden)
+        monkeypatch.setattr(qdisc, "_rotated", rows_only)
         est = qdisc_estimate(to_projection_system(arithmetic_progressions(20)), restarts=1, sweeps=1, seed=89)
         assert est.value <= disc_exact(arithmetic_progressions(20))[0]
+
+
+WITNESS_SYSTEMS = (
+    [(f"ap{n}", arithmetic_progressions(n)) for n in range(3, 13)]
+    + [(f"random{i}", random_set_system(10, 20, (109, i))) for i in range(10)]
+    + [("some-empty", SetSystem(7, ((), (1, 2, 5), (3, 4, 6, 7), (), (2, 3, 7))))]
+    + [("all-empty", SetSystem(5, ((), ())))]
+)
+
+
+@pytest.mark.parametrize("name, system", WITNESS_SYSTEMS, ids=[name for name, _ in WITNESS_SYSTEMS])
+def test_witness_start_colors_as_the_disc_exact_witness(name, system):
+    """I[:, rows] D_k I[:, rows]* is the diagonal coloring of disc_exact's
+    witness, with k its plus count; with no set at all it is the identity."""
+    n = system.ground_size
+    rows, k = _witness_start(to_projection_system(system).stacked(), 0, cap=24)
+    signs = np.ones(n) if name == "all-empty" else disc_exact(system)[1].signs.astype(float)
+    chi = conjugate_diagonal(np.eye(n)[:, rows], np.where(np.arange(n) < k, 1.0, -1.0))
+    assert np.array_equal(chi, np.diag(signs))
+    assert k == np.count_nonzero(signs > 0)
 
 
 FLOAT_CONFIGS = [dict(restarts=1, sweeps=1), dict(restarts=2, sweeps=2), dict(restarts=1, sweeps=6)]
@@ -553,9 +579,9 @@ def searched_dtypes(monkeypatch, run):
     seen = []
     init = _PlaneSearch.__init__
 
-    def spy(self, u, k, stacked, ranks):
-        init(self, u, k, stacked, ranks)
-        seen.append((u.shape[0], k, u.dtype, self.w.dtype))
+    def spy(self, start, k, stacked, ranks):
+        init(self, start, k, stacked, ranks)
+        seen.append((self.u.shape[0], k, self.u.dtype, self.w.dtype))
 
     with monkeypatch.context() as patch:
         patch.setattr(_PlaneSearch, "__init__", spy)
@@ -570,8 +596,9 @@ class TestFloatSearch:
     def test_same_estimate_as_the_complex_search(self, monkeypatch, config):
         refine = qdisc._refine
 
-        def complex_refine(value, u, k, stacked, *rest):
-            return refine(value, u.astype(np.complex128), k, stacked.astype(np.complex128), *rest)
+        def complex_refine(value, start, k, stacked, *rest):
+            u = as_unitary(start, stacked).astype(np.complex128)
+            return refine(value, u, k, stacked.astype(np.complex128), *rest)
 
         differ = []
         for i, (name, system) in enumerate(SET_SYSTEMS):
@@ -629,12 +656,61 @@ class TestFloatSearch:
             tracemalloc.stop()
         assert peak < 4_000_000
 
+    def test_haar_starts_are_built_when_needed(self):
+        # holding the (N + 1)(restarts - 1) = 2015 Haar starts of N = 64 would take 126 MiB;
+        # the estimate is the one a search that holds them gives
+        system = random_projection_system(64, 8, 5)
+        tracemalloc.start()
+        try:
+            est = qdisc_estimate(system, restarts=32, sweeps=1, refine_top=4, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert (est.value, est.plus_count, est.converged) == (3.831129849388721, 32, False)
+
+    def test_an_unrefined_haar_winner_is_its_start(self, monkeypatch):
+        """Without sweeps the best start wins as it is: a Haar start, drawn
+        again for the witness, which attains the start's value."""
+        starts = []
+        plus_value = qdisc._plus_value
+
+        def spy(start, k, stacked, ranks):
+            starts.append((plus_value(start, k, stacked, ranks), start.ndim))
+            return starts[-1][0]
+
+        monkeypatch.setattr(qdisc, "_plus_value", spy)
+        est = qdisc_estimate(random_projection_system(8, 12, 110), restarts=3, sweeps=0, seed=111)
+        value, ndim = min(starts)
+        assert ndim == 2 and abs(est.value - value) <= 1e-12
+
 
 def unpruned(monkeypatch, run):
     """run() with every slice floor at 0, so that no candidate is skipped."""
     with monkeypatch.context() as patch:
         patch.setattr(qdisc, "_slice_floors", lambda stacked, ranks: np.zeros(stacked.shape[-1] + 1))
         return run()
+
+
+def test_refine_top_refines_the_best_starts(monkeypatch):
+    """With no candidate skipped, the refine_top lowest start values are
+    refined, in order of value, and no other start is."""
+    starts, refined = [], []
+    plus_value, refine = qdisc._plus_value, qdisc._refine
+
+    def value_spy(start, k, stacked, ranks):
+        starts.append(plus_value(start, k, stacked, ranks))
+        return starts[-1]
+
+    def refine_spy(value, *rest):
+        refined.append(value)
+        return refine(value, *rest)
+
+    monkeypatch.setattr(qdisc, "_plus_value", value_spy)
+    monkeypatch.setattr(qdisc, "_refine", refine_spy)
+    system = random_projection_system(8, 12, 112)
+    unpruned(monkeypatch, lambda: qdisc_estimate(system, restarts=3, sweeps=1, refine_top=3, seed=113))
+    assert refined == sorted(starts)[:3]
 
 
 def estimate_key(est):

@@ -27,6 +27,7 @@ from functools import partial
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+AP10 = Path(__file__).resolve().parent / "ap10.json"  # the AP(10) set system
 
 # One command of each benchmark workload shape, three `dpp check` configs,
 # the other subcommands at small sizes, and refused inputs.
@@ -42,6 +43,9 @@ COMMANDS = (
     # on random projections, and random set systems with Haar starts
     "qdisc --random-n 16 --random-m 64 --restarts 4 --sweeps 2 --refine-top 8 --plane-cap 40 --seed 2801",
     "compare --ap-min 6 --ap-max 9 --random-count 3 --restarts 2 --sweeps 2 --seed 2802",
+    # a beam on a set system, where the disc_exact witness start competes
+    # with the Haar and identity starts for the refine_top places
+    f"qdisc --input {shlex.quote(str(AP10))} --restarts 3 --sweeps 2 --refine-top 6 --seed 3201",
     # 100 projections at N = 32: validating the stack takes 7 batches, and
     # the final objective check 2
     "qdisc --random-n 32 --random-m 100 --restarts 1 --sweeps 0 --seed 2901",
