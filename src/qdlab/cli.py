@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .combdisc import DEFAULT_EXHAUSTIVE_CAP, disc_exact, disc_heuristic
 from .concentration import comparison_check, lower_bound_constants
-from .dpp import exact_distribution, sample_many, sample_masks, size_pmf, validate_kernel
+from .dpp import exact_distribution, sample_masks, size_pmf, validate_kernel
 from .errors import GroundSetTooLarge, QdlabError, ValidationError
 from .matcore import batches, matrix_from_json, matrix_to_json
 from .qdisc import QdiscEstimate, delta_event_count, delta_thresholds, objective, qdisc_estimate
@@ -509,14 +509,18 @@ def cmd_dpp(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
     kernel = _resolve_kernel(cfg, kernel_child)
     trials = int(cfg["trials"])
     if cfg["action"] == "sample":
-        draws = sample_many(kernel, trials, draw_child)
+        # one nonzero of the mask, in row-major order: row t's points are the labels of slice t
+        masks = sample_masks(kernel, trials, draw_child)
+        labels = [str(i) for i in range(1, masks.shape[1] + 1)]
+        points = [labels[i] for i in np.nonzero(masks)[1].tolist()]
+        ends = np.cumsum(np.count_nonzero(masks, axis=1)).tolist()
         rows = [
-            {"trial": t, "size": len(s.points), "points": " ".join(map(str, s.points))}
-            for t, s in enumerate(draws)
+            {"trial": t, "size": end - start, "points": " ".join(points[start:end])}
+            for t, (start, end) in enumerate(zip([0, *ends], ends))
         ]
         summary = {
             "trials": trials,
-            "mean_size": sum(len(s.points) for s in draws) / trials,
+            "mean_size": len(points) / trials,
             "kernel_trace": kernel.matrix.trace(),
             "kernel_dim": kernel.dim,
             "kernel": matrix_to_json(kernel),

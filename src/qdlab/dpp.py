@@ -34,7 +34,9 @@ _BREAKDOWN_TOL = 1e-12
 @dataclass(frozen=True)
 class ProcessSample:
     """One realization: a sorted, duplicate-free subset of {1..N}, read off
-    a `sample_masks` row by `sample_many` and not checked again."""
+    a `sample_masks` row by `sample_many` and not checked again. The
+    per-draw API of `sample` and `sample_many`; `qdlab dpp sample` reads
+    the mask array instead and builds none."""
 
     points: tuple[int, ...]
 
@@ -105,7 +107,10 @@ def sample(kernel: DPPKernel, seed) -> ProcessSample:
 
 
 def sample_many(kernel: DPPKernel, trials: int, seed) -> list[ProcessSample]:
-    """The draws of `sample_masks` as ProcessSamples."""
+    """The draws of `sample_masks` as ProcessSamples, one per mask row:
+    the per-draw form for callers that want each draw as a tuple of points.
+    Code that only counts or prints draws can read `sample_masks` directly,
+    as `qdlab dpp sample` does."""
     points = np.arange(1, kernel.dim + 1)
     return [ProcessSample(tuple(points[row].tolist())) for row in sample_masks(kernel, trials, seed)]
 

@@ -50,6 +50,9 @@ _CONSISTENCY_TOL = 1e-9
 _IMPROVE_TOL = 1e-12
 _FLOOR_TOL = 1e-9
 ANGLE_GRID = 64
+# Largest (N + 1) x restarts: qdisc_estimate spawns one SeedSequence child per
+# start (about 450 B each) before any search.
+MAX_STARTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -480,7 +483,8 @@ def qdisc_estimate(
     them when it is valued, refined or chosen unrefined, so no candidate
     holds a unitary. A real stack searched from rows keeps W and U real, so
     that search runs in float64; Haar starts and complex stacks run in
-    complex128.
+    complex128. A search of more than MAX_STARTS starts, (N + 1) x restarts,
+    is refused before any child is spawned.
     """
     if restarts < 1:
         raise ValidationError("need restarts >= 1")
@@ -488,6 +492,10 @@ def qdisc_estimate(
         if count is not None and count < least:
             raise ValidationError(f"need {name} >= {least}, got {count}")
     n = system.dim
+    if (n + 1) * restarts > MAX_STARTS:
+        raise ValidationError(
+            f"(N + 1) x restarts = {n + 1} x {restarts} starts exceeds the largest supported {MAX_STARTS}"
+        )
     stacked = system.stacked()
     narrow = stacked if stacked.imag.any() else stacked.real  # a view: row starts gather W afresh
     ranks = system.ranks().astype(float)

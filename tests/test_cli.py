@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdlab import DEFAULT_EXHAUSTIVE_CAP, __version__, arithmetic_progressions, disc_exact, matrix_to_json
+from qdlab import DEFAULT_EXHAUSTIVE_CAP, __version__, arithmetic_progressions, disc_exact, matrix_to_json, qdisc
 from qdlab.cli import (
     _COMMANDS,
     _SCHEMAS,
@@ -31,7 +31,7 @@ from qdlab.cli import (
     main,
     render_report,
 )
-from qdlab.dpp import sample_masks, validate_kernel
+from qdlab.dpp import sample_many, sample_masks, validate_kernel
 from qdlab.setsys import MAX_DENSE_ENTRIES, MAX_GROUND_SIZE, MAX_SET_COUNT, check_dense_size
 
 
@@ -263,6 +263,80 @@ class TestDppStreams:
             for r in json.loads(text)["rows"] if r["check"] == "inclusion_z"
         ]
         assert counts == masks.sum(axis=0).tolist()
+
+
+class TestDppSampleRows:
+    """`dpp sample` writes its rows and mean size straight from the
+    (trials, N) mask of `sample_masks` on the draw child: row t lists the
+    points of mask row t as labels 1..N, and its size is their count."""
+
+    KERNELS = {
+        "random-n1": ["--kind", "random", "--n", "1"],  # some draws are empty, some not
+        "zero-kernel": [],  # every draw is empty; the kernel file is written by the test
+        "uniform-n5": ["--kind", "uniform", "--n", "5"],
+        "projection-n64": ["--kind", "projection", "--n", "64"],
+    }
+
+    @classmethod
+    def _argv(cls, tmp_path, name, trials, seed):
+        if name == "zero-kernel":
+            path = tmp_path / "zero.json"
+            path.write_text(json.dumps(matrix_to_json(np.zeros((3, 3)))))
+            return ["dpp", "sample", "--kernel", str(path), "--trials", str(trials), "--seed", str(seed)]
+        return ["dpp", "sample", *cls.KERNELS[name], "--trials", str(trials), "--seed", str(seed)]
+
+    @staticmethod
+    def _kernel_and_masks(argv):
+        cfg = build_config("dpp", build_parser().parse_args(argv))
+        kernel_child, draw_child, _ = np.random.SeedSequence(cfg["seed"]).spawn(3)
+        kernel = _resolve_kernel(cfg, kernel_child)
+        return cfg, kernel, sample_masks(kernel, cfg["trials"], draw_child), draw_child
+
+    @staticmethod
+    def _read(text, fmt):
+        """The rows as (trial, size, points) and the summary of a report."""
+        if fmt == "json":
+            doc = json.loads(text)
+            return [(r["trial"], r["size"], r["points"]) for r in doc["rows"]], doc["summary"]
+        lines = text.splitlines()
+        rows = [(int(t), int(size), points) for t, size, points in csv.reader(lines[3:-1])]
+        return rows, json.loads(lines[-1].removeprefix("# summary: "))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_rows_are_the_masks(self, tmp_path, name, fmt):
+        trials = 40
+        argv = self._argv(tmp_path, name, trials, 3301)
+        code, text = run(tmp_path, f"s.{fmt}", *argv, "--format", fmt)
+        assert code == 0
+        rows, summary = self._read(text, fmt)
+        _, _, masks, _ = self._kernel_and_masks(argv)
+        sizes = masks.sum(axis=1)
+        assert rows == [
+            (t, int(sizes[t]), " ".join(str(i + 1) for i in np.flatnonzero(m))) for t, m in enumerate(masks)
+        ]
+        assert type(summary["mean_size"]) is float
+        assert summary["mean_size"] == int(sizes.sum()) / trials
+        if name == "random-n1":
+            assert 0 < sizes.sum() < trials
+        if name == "zero-kernel":
+            assert summary["mean_size"] == 0.0 and all(points == "" for _, _, points in rows)
+
+    def test_csv_report_is_the_per_draw_report(self, tmp_path):
+        """The report equals the text of the per-draw path: one
+        `ProcessSample` per draw from `sample_many`, rows from its points
+        and the mean size from a second pass over the draws."""
+        argv = self._argv(tmp_path, "random-n1", 200, 3302)
+        code, text = run(tmp_path, "s.csv", *argv)
+        assert code == 0
+        cfg, kernel, _, draw_child = self._kernel_and_masks(argv)
+        draws = sample_many(kernel, cfg["trials"], draw_child)
+        rows = [{"trial": t, "size": len(s.points), "points": " ".join(map(str, s.points))}
+                for t, s in enumerate(draws)]
+        summary = {"trials": cfg["trials"], "mean_size": sum(len(s.points) for s in draws) / cfg["trials"],
+                   "kernel_trace": kernel.matrix.trace(), "kernel_dim": kernel.dim, "kernel": matrix_to_json(kernel)}
+        config = {k: v for k, v in cfg.items() if k != "out"}
+        assert text == render_report("dpp", config, rows, summary, "csv")
 
 
 def _shifted_draws(shift):
@@ -768,6 +842,29 @@ class TestTrialCap:
         err = capsys.readouterr().err
         assert code == EXIT_VALIDATION
         assert f"exceeds the largest supported size {MAX_TRIALS}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qdisc", "--random-n", "24", "--random-m", "4", "--restarts", str(MAX_TRIALS)],
+            ["lbound", "--n-grid", "8", "--m-cap", "8", "--restarts", str(MAX_TRIALS)],
+            ["compare", "--ap-min", "6", "--ap-max", "6", "--random-count", "0", "--restarts", str(MAX_TRIALS)],
+        ],
+        ids=["qdisc", "lbound", "compare"],
+    )
+    def test_start_count_refused_before_the_search(self, tmp_path, capsys, monkeypatch, argv):
+        """Restarts within the trial cap can still give (N + 1) x restarts
+        above qdisc_estimate's start cap, which is refused before one seed
+        child per start is spawned."""
+        def unreachable(seed):
+            raise AssertionError("qdisc_estimate spawned seed children past the start cap")
+
+        monkeypatch.setattr(qdisc, "seed_sequence", unreachable)
+        code, _ = run(tmp_path, "r.csv", *argv, "--seed", "1")
+        err = capsys.readouterr().err
+        assert code == EXIT_VALIDATION
+        assert f"starts exceeds the largest supported {qdisc.MAX_STARTS}" in err
         assert "Traceback" not in err
 
     def test_refused_in_config(self, tmp_path, capsys, no_commands):

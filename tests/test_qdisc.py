@@ -344,6 +344,25 @@ class TestQdiscEstimate:
         with pytest.raises(ValidationError):
             qdisc_estimate(random_projection_system(3, 1, 0), restarts=0)
 
+    def test_start_count_refused_before_any_child_is_spawned(self, monkeypatch):
+        """(N + 1) x restarts above MAX_STARTS is refused; at the cap the
+        search goes on to spawn its children. The spawn is replaced, so a
+        missing check fails at once instead of holding a SeedSequence child
+        per start."""
+        class Spawned(Exception):
+            pass
+
+        def spawn_stand_in(seed):
+            raise Spawned
+
+        monkeypatch.setattr(qdisc, "seed_sequence", spawn_stand_in)
+        system = random_projection_system(3, 1, 0)
+        with pytest.raises(Spawned):
+            qdisc_estimate(system, restarts=qdisc.MAX_STARTS // 4, seed=0)
+        for restarts in (qdisc.MAX_STARTS // 4 + 1, qdisc.MAX_STARTS):
+            with pytest.raises(ValidationError, match=f"4 x {restarts} starts exceeds the largest supported"):
+                qdisc_estimate(system, restarts=restarts, seed=0)
+
 
 class TestPlaneSearch:
     @staticmethod

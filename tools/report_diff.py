@@ -57,6 +57,8 @@ COMMANDS = (
     "dpp sample --kind projection --n 128 --trials 50 --seed 2106",
     # enough projection draws that a sampler change which moves a few shows
     "dpp sample --kind projection --n 64 --trials 2000 --seed 2107",
+    # a one-point random kernel: empty and non-empty draws, in CSV and JSON rows
+    "dpp sample --kind random --n 1 --trials 40 --seed 3301",
     # dpp check: the README example, the acceptance config and a projection
     # kernel (whose size law is a point mass); all three exit 0
     "dpp check --seed 1",
