@@ -27,7 +27,7 @@ from .combdisc import DEFAULT_EXHAUSTIVE_CAP, disc_exact, disc_heuristic
 from .concentration import comparison_check, lower_bound_constants
 from .dpp import exact_distribution, sample_masks, size_pmf, validate_kernel
 from .errors import GroundSetTooLarge, QdlabError, ValidationError
-from .matcore import batches, matrix_from_json, matrix_to_json
+from .matcore import batches, matrix_from_json, matrix_pairs, pairs_json_text
 from .qdisc import QdiscEstimate, delta_event_count, delta_thresholds, objective, qdisc_estimate
 from .randmat import (
     concentration_probe,
@@ -72,20 +72,24 @@ def render_report(subcommand: str, config: dict, rows: list[dict], summary: dict
     float64 is a float and prints as one). CSV takes its columns from the
     first row's keys; its cells are scalars, which csv prints through str
     (the same text for a numpy scalar as for its Python value), with None as
-    an empty field."""
+    an empty field. The CSV summary is written key by key in sorted order: a
+    finite float64 (N, N, 2) array through `pairs_json_text`, the rest through `canon`."""
     if fmt == "json":
         doc = {"format": FORMAT_VERSION, "subcommand": subcommand, "version": __version__, "config": config,
                "columns": list(rows[0]), "rows": rows, "summary": summary}
         return json.dumps(doc, sort_keys=True, indent=2, default=_py) + "\n"
     canon = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"), default=_py)
     buf = io.StringIO()
-    buf.write(f"# qdlab-report format={FORMAT_VERSION} subcommand={subcommand} version={__version__}\n")
-    buf.write(f"# config: {canon(config)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(rows[0].keys())
     writer.writerows(row.values() for row in rows)
-    buf.write(f"# summary: {canon(summary)}\n")
-    return buf.getvalue()
+    parts = [f"# qdlab-report format={FORMAT_VERSION} subcommand={subcommand} version={__version__}\n",
+             f"# config: {canon(config)}\n", buf.getvalue(), "# summary: {"]
+    for i, (key, value) in enumerate(sorted(summary.items())):
+        pairs = (isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 3
+                 and value.shape[1:] == (len(value), 2) and np.isfinite(value).all())
+        parts += ["," if i else "", canon(key), ":", pairs_json_text(value) if pairs else canon(value)]
+    return "".join([*parts, "}\n"])
 
 
 def _binomial_cdf_root(k: int, n: int, target: float) -> float:
@@ -387,7 +391,7 @@ def cmd_qdisc(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict
         "plus_count": est.plus_count,
         "restarts_used": est.restarts_used,
         "converged": est.converged,
-        "witness": matrix_to_json(est.witness),
+        "witness": matrix_pairs(est.witness),
     }
     return rows, summary
 
@@ -523,7 +527,7 @@ def cmd_dpp(cfg: dict, root: np.random.SeedSequence) -> tuple[list[dict], dict]:
             "mean_size": len(points) / trials,
             "kernel_trace": kernel.matrix.trace(),
             "kernel_dim": kernel.dim,
-            "kernel": matrix_to_json(kernel),
+            "kernel": matrix_pairs(kernel),
         }
         return rows, summary
 

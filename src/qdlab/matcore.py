@@ -324,10 +324,35 @@ def make_projection_from_vectors(columns: np.ndarray) -> OrthogonalProjection:
     return proj
 
 
-def matrix_to_json(matrix) -> list:
-    """Serialize a complex matrix as nested lists of [re, im] pairs."""
+def matrix_pairs(matrix) -> np.ndarray:
+    """The (N, N, 2) float64 array of the [re, im] pairs of a complex matrix."""
     arr = as_complex_array(matrix)
-    return np.stack([arr.real, arr.imag], -1).tolist()
+    return np.stack([arr.real, arr.imag], -1)
+
+
+def matrix_to_json(matrix) -> list:
+    """Serialize a complex matrix as nested lists of [re, im] pairs: `matrix_pairs` as Python floats."""
+    return matrix_pairs(matrix).tolist()
+
+
+def pairs_json_text(pairs: np.ndarray) -> str:
+    """`json.dumps(pairs.tolist(), separators=(",", ":"))` of a finite float64
+    (N, N, 2) array, row by row. Pairs on or above the diagonal go through repr;
+    pair (i, j) below it reuses (j, i)'s text, imaginary sign flipped, where the
+    bits mirror: equal real parts, imaginary parts apart in the sign bit alone."""
+    re, im = np.moveaxis(np.ascontiguousarray(pairs).view(np.uint64), -1, 0)
+    own = (re != re.T) | (im != im.T ^ np.uint64(1 << 63))  # +0.0 on both sides does not mirror
+    n, lines = len(pairs), []
+    held = np.empty((n, n), dtype=object)  # [j, i], j > i: (i, j) mirrored, until row j keeps or replaces it
+    for i in range(n):
+        ra, rb = (list(map(repr, part)) for part in pairs[i, i:].T.tolist())
+        held[i, i:] = [f"[{x},{y}]" for x, y in zip(ra, rb)]
+        held[i + 1:, i] = [f"[{x},{y[1:]}]" if y[0] == "-" else f"[{x},-{y}]" for x, y in zip(ra[1:], rb[1:])]
+        cols = np.flatnonzero(own[i, :i])
+        held[i, cols] = [f"[{x!r},{y!r}]" for x, y in pairs[i, cols].tolist()]
+        lines.append(f"[{','.join(held[i].tolist())}]")
+        held[i] = None
+    return f"[{','.join(lines)}]"
 
 
 def matrix_from_json(data) -> np.ndarray:

@@ -526,6 +526,9 @@ class TestRenderReport:
             ["dpp", "check", "--kind", "random", "--n", "3", "--trials", "300", "--seed", "5"],
             ["compare", "--ap-min", "4", "--ap-max", "5", "--random-count", "1", "--restarts", "1", "--seed", "1"],
             ["haar", "--n-grid", "2", "--trials", "100", "--seed", "1"],
+            ["dpp", "sample", "--kind", "projection", "--n", "128", "--trials", "2", "--seed", "5"],
+            # a real kernel: its zero imaginary parts are +0.0 on both sides of the diagonal
+            ["dpp", "sample", "--kind", "uniform", "--n", "6", "--trials", "5", "--seed", "5"],
         ],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])

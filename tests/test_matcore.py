@@ -4,6 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qdlab import (
     as_coloring,
@@ -24,7 +27,8 @@ from qdlab.errors import (
     UnsupportedP,
     ValidationError,
 )
-from qdlab.matcore import seed_sequence, trace_pair
+from qdlab.cli import render_report
+from qdlab.matcore import matrix_pairs, pairs_json_text, seed_sequence, trace_pair
 from qdlab.qdisc import qdisc_estimate
 from qdlab.randmat import random_projection_system
 
@@ -261,6 +265,79 @@ class TestMatrixJson:
     def test_parsed_non_hermitian_is_rejected(self, data):
         with pytest.raises(TooFarFromHermitian):
             make_hermitian(matrix_from_json(data))
+
+
+def _compact_json(pairs):
+    return json.dumps(pairs.tolist(), separators=(",", ":"))
+
+
+_EXTREME_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                                              1e16, 1e-5, 0.1]),
+                            st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _pair_arrays(draw):
+    """Finite (N, N, 2) arrays; Hermitian-shaped ones (the lower pairs the
+    conjugates of the upper ones, bit for bit) as often as not."""
+    n = draw(st.integers(0, 6))
+    pairs = draw(arrays(np.float64, (n, n, 2), elements=_EXTREME_FLOATS))
+    if draw(st.booleans()):
+        lower = np.tril_indices(n, -1)
+        pairs[lower] = pairs.swapaxes(0, 1)[lower] * [1.0, -1.0]
+    return pairs
+
+
+class TestPairsJsonText:
+    """pairs_json_text writes the text of json.dumps of the pair lists."""
+
+    @given(pairs=_pair_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_pairs(self, pairs):
+        assert pairs_json_text(pairs) == _compact_json(pairs)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_hermitian_of_complex_and_real_inputs(self, rng, n):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for raw in (a + a.conj().T, a.real + a.real.T):
+            pairs = matrix_pairs(make_hermitian(raw))
+            assert pairs_json_text(pairs) == _compact_json(pairs)
+
+    def test_real_symmetric_keeps_positive_zeros(self):
+        # both sides hold +0.0 imaginary parts: flipping the sign of the
+        # upper text would write "-0.0" below the diagonal
+        pairs = matrix_pairs(make_hermitian([[1.0, 0.25, -0.5], [0.25, 2.0, 0.0], [-0.5, 0.0, 3.0]]))
+        assert not np.signbit(pairs[..., 1]).any()
+        text = pairs_json_text(pairs)
+        assert text == _compact_json(pairs) and "-0.0" not in text
+
+    def test_mirrored_zero_imaginary_parts(self):
+        # +0.0 above and -0.0 below mirror, and so does the reverse
+        pairs = np.array([[[1.0, 0.0], [0.5, 0.0]], [[0.5, -0.0], [2.0, -0.0]]])
+        assert pairs_json_text(pairs) == _compact_json(pairs) == "[[[1.0,0.0],[0.5,0.0]],[[0.5,-0.0],[2.0,-0.0]]]"
+
+    def test_not_hermitian(self, rng):
+        a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        a[3, 1] = np.conj(a[1, 3])  # one mirrored pair among unrelated ones
+        pairs = matrix_pairs(a)
+        assert pairs_json_text(pairs) == _compact_json(pairs)
+        assert pairs_json_text(pairs[:, :, ::-1]) == _compact_json(pairs[:, :, ::-1])  # a strided view
+
+    def test_one_point(self):
+        pairs = matrix_pairs([[0.75 - 5e-324j]])
+        assert pairs_json_text(pairs) == _compact_json(pairs) == "[[[0.75,-5e-324]]]"
+
+    def test_report_spells_non_finite_arrays_through_canon(self):
+        pairs = matrix_pairs(np.eye(2))
+        rows = [{"trial": 0}]
+        for bad, spelling in ((np.nan, "NaN"), (np.inf, "Infinity"), (-np.inf, "-Infinity")):
+            odd = pairs.copy()
+            odd[1, 0, 1] = bad
+            text = render_report("demo", {}, rows, {"a": pairs, "b": odd}, "csv")
+            summary = text.splitlines()[-1]
+            assert summary == "# summary: " + json.dumps({"a": pairs.tolist(), "b": odd.tolist()}, sort_keys=True,
+                                                          separators=(",", ":"))
+            assert f"[0.0,{spelling}]" in summary
 
 
 class TestTracePair:

@@ -59,6 +59,10 @@ COMMANDS = (
     "dpp sample --kind projection --n 64 --trials 2000 --seed 2107",
     # a one-point random kernel: empty and non-empty draws, in CSV and JSON rows
     "dpp sample --kind random --n 1 --trials 40 --seed 3301",
+    # a real kernel, whose imaginary parts are +0.0 on both sides of the
+    # diagonal: a summary writer that reuses the upper pair's text with the
+    # imaginary sign flipped would print -0.0 below it
+    "dpp sample --kind uniform --n 6 --trials 20 --seed 3401",
     # dpp check: the README example, the acceptance config and a projection
     # kernel (whose size law is a point mass); all three exit 0
     "dpp check --seed 1",
